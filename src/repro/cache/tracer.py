@@ -46,29 +46,42 @@ class TracerStats:
         return self.llc_requests / self.cpu_accesses if self.cpu_accesses else 0.0
 
 
-def register_tracer_metrics(registry: MetricsRegistry):
-    """Register (or look up) the tracer's three counters on ``registry``.
+def publish_tracer_metrics(
+    registry: MetricsRegistry,
+    *,
+    cpu_accesses: int,
+    requested_bytes: int,
+    kinds: dict[str, int],
+) -> None:
+    """Write the tracer's three counters for one run into ``registry``.
 
-    Shared by the live :class:`MemoryTracer` and the trace-replay path
-    (:func:`repro.trace.replay.publish_replay_tracer_metrics`) so both
-    produce byte-identical metric names, help strings and units --
-    which is what keeps replayed results digest-identical to live runs.
-    Returns ``(cpu_accesses, llc_requests, requested_bytes)`` counters.
+    The one writer for both the live :class:`MemoryTracer` and the
+    trace-replay path (:func:`repro.trace.replay.publish_replay_tracer_metrics`),
+    so both produce byte-identical names, help strings, units and
+    samples -- which is what keeps replayed results digest-identical
+    to live runs.  ``kinds`` maps an LLC request kind (``miss``,
+    ``secondary_miss``, ``writeback``, ``prefetch``) to its count; a
+    kind's label set exists only if it occurred.
     """
-    return (
-        registry.counter(
-            "tracer_cpu_accesses_total", help="CPU accesses entering the hierarchy"
-        ),
-        registry.counter(
-            "tracer_llc_requests_total",
-            help="LLC-level requests emitted to the coalescer, by kind",
-        ),
-        registry.counter(
-            "tracer_requested_bytes_total",
-            help="Bytes the surviving LLC requests actually asked for",
-            unit="bytes",
-        ),
+    cpu = registry.counter(
+        "tracer_cpu_accesses_total", help="CPU accesses entering the hierarchy"
     )
+    llc = registry.counter(
+        "tracer_llc_requests_total",
+        help="LLC-level requests emitted to the coalescer, by kind",
+    )
+    requested = registry.counter(
+        "tracer_requested_bytes_total",
+        help="Bytes the surviving LLC requests actually asked for",
+        unit="bytes",
+    )
+    if cpu_accesses:
+        cpu.inc(cpu_accesses)
+    if requested_bytes:
+        requested.inc(requested_bytes)
+    for kind, count in kinds.items():
+        if count:
+            llc.inc(count, kind=kind)
 
 
 class MemoryTracer:
@@ -108,15 +121,9 @@ class MemoryTracer:
         self._clock = 0.0
         self._next_port_free = 0.0
         self.registry = registry if registry is not None else NULL_REGISTRY
-        m_cpu, m_llc, m_requested = register_tracer_metrics(self.registry)
-        # Pre-bound handles for the per-access loop; a kind's label set
-        # only materializes on its first increment, exactly as before.
-        self._m_cpu = m_cpu.bind()
-        self._m_requested_bytes = m_requested.bind()
-        self._m_llc_kind = {
-            kind: m_llc.bind(kind=kind)
-            for kind in ("miss", "secondary_miss", "writeback", "prefetch")
-        }
+        # LLC requests emitted so far, by kind (see
+        # :func:`publish_tracer_metrics`).
+        self._kinds = {"miss": 0, "secondary_miss": 0, "writeback": 0, "prefetch": 0}
 
     @property
     def cycle(self) -> int:
@@ -131,7 +138,6 @@ class MemoryTracer:
         """
         for access in accesses:
             self.stats.cpu_accesses += 1
-            self._m_cpu.inc()
             for event in self.hierarchy.access(access, cycle=int(self._clock)):
                 emit = self._clock
                 if self.llc_port_cycles and not event.request.is_fence:
@@ -147,7 +153,6 @@ class MemoryTracer:
                 if not event.request.is_fence:
                     self.stats.llc_requests += 1
                     self.stats.requested_bytes += event.request.requested_bytes
-                    self._m_requested_bytes.inc(event.request.requested_bytes)
                     if event.is_writeback:
                         self.stats.writebacks += 1
                     if event.is_prefetch:
@@ -160,10 +165,19 @@ class MemoryTracer:
                         kind = "secondary_miss"
                     else:
                         kind = "miss"
-                    self._m_llc_kind[kind].inc()
+                    self._kinds[kind] += 1
                 yield record
             self._clock += self.cycles_per_access
 
     def trace_list(self, accesses: Iterable[Access]) -> list[TraceRecord]:
         """Materialized convenience wrapper around :meth:`trace`."""
         return list(self.trace(accesses))
+
+    def publish_metrics(self) -> None:
+        """Write the run's tracer counters into the registry (once per run)."""
+        publish_tracer_metrics(
+            self.registry,
+            cpu_accesses=self.stats.cpu_accesses,
+            requested_bytes=self.stats.requested_bytes,
+            kinds=self._kinds,
+        )

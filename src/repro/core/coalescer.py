@@ -158,23 +158,6 @@ class MemoryCoalescer:
         self.serviced: list[ServicedRequest] = []
         self._llc_requests = 0
         self._bypassed = 0
-        # push/_record_issue run per request: pre-bound handles.
-        self._m_llc_requests = self.registry.counter(
-            "coalescer_llc_requests_total",
-            help="LLC miss/write-back requests entering the coalescer",
-        ).bind()
-        self._m_bypasses = self.registry.counter(
-            "coalescer_bypass_total",
-            help="Raw requests that skipped the coalescer (stage-select bypass)",
-        ).bind()
-        m_issued = self.registry.counter(
-            "coalescer_hmc_requests_total",
-            help="Packets actually issued to the HMC, by path",
-        )
-        self._m_issued_path = {
-            True: m_issued.bind(path="bypass"),
-            False: m_issued.bind(path="coalesced"),
-        }
 
     # -- public API -----------------------------------------------------------
 
@@ -192,7 +175,6 @@ class MemoryCoalescer:
             return
 
         self._llc_requests += 1
-        self._m_llc_requests.inc()
 
         if self._can_bypass(cycle):
             self._bypass(request, cycle)
@@ -256,16 +238,6 @@ class MemoryCoalescer:
         """
         return self._service_time(packet, cycle)
 
-    def record_issued_bulk(self, count: int) -> None:
-        """Apply a deferred batch of coalesced-path issue counts.
-
-        The batched kernel appends :class:`IssuedRequest` records live
-        (their order matters) but defers the per-issue counter; zero
-        counts record nothing.
-        """
-        if count:
-            self._m_issued_path[False].inc(count)
-
     def stats(self) -> CoalescerStats:
         """Current statistics snapshot."""
         return CoalescerStats(
@@ -278,6 +250,39 @@ class MemoryCoalescer:
             mshr=self.mshrs.stats,
             config=self.config,
         )
+
+    def publish_metrics(self) -> None:
+        """Write the run's coalescer series into the registry.
+
+        Covers the front end and every stage it owns (sorter, DMC, CRQ,
+        MSHR file); call once, after the last :meth:`flush`.
+        """
+        registry = self.registry
+        bypassed = self._bypassed
+        coalesced = len(self.issued) - bypassed
+        llc = registry.counter(
+            "coalescer_llc_requests_total",
+            help="LLC miss/write-back requests entering the coalescer",
+        )
+        if self._llc_requests:
+            llc.inc(self._llc_requests)
+        bypasses = registry.counter(
+            "coalescer_bypass_total",
+            help="Raw requests that skipped the coalescer (stage-select bypass)",
+        )
+        issued = registry.counter(
+            "coalescer_hmc_requests_total",
+            help="Packets actually issued to the HMC, by path",
+        )
+        if bypassed:
+            bypasses.inc(bypassed)
+            issued.inc(bypassed, path="bypass")
+        if coalesced:
+            issued.inc(coalesced, path="coalesced")
+        self.pipeline.publish_metrics()
+        self.dmc.publish_metrics()
+        self.crq.publish_metrics()
+        self.mshrs.publish_metrics()
 
     # -- internals ----------------------------------------------------------
 
@@ -307,7 +312,6 @@ class MemoryCoalescer:
         if entry is None:  # pragma: no cover - all_idle guarantees a slot
             raise RuntimeError("bypass allocation failed with idle MSHRs")
         self._bypassed += 1
-        self._m_bypasses.inc()
         self.registry.timeline.record(cycle, "coalescer", "bypass")
         self._record_issue(packet, cycle, entry.complete_cycle, entry.index, True)
 
@@ -439,4 +443,3 @@ class MemoryCoalescer:
                 bypassed=bypassed,
             )
         )
-        self._m_issued_path[bypassed].inc()

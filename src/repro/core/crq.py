@@ -60,31 +60,11 @@ class CoalescedRequestQueue:
         self._fill_window: list[int] = []
         self.stats = CRQStats()
         self.registry = registry if registry is not None else NULL_REGISTRY
-        # push/pop run per packet; pre-bound handles throughout.
-        self._m_pushes = self.registry.counter(
-            "crq_pushes_total", help="Packets admitted into the CRQ"
-        ).bind()
-        self._m_pops = self.registry.counter(
-            "crq_pops_total", help="Packets drained from the CRQ into MSHRs"
-        ).bind()
-        self._m_fills = self.registry.counter(
-            "crq_fills_total", help="Times the CRQ produced a full queue's worth"
-        ).bind()
-        self._m_depth = self.registry.histogram(
-            "crq_depth",
-            buckets=(1, 2, 4, 8, 16, 32),
-            help="Queue depth observed after each admission (depth over time)",
-            unit="slots",
-        ).bind()
-        self._m_fill_cycles = self.registry.histogram(
-            "crq_fill_cycles",
-            buckets=(8, 16, 32, 64, 128, 256, 512),
-            help="Cycles to produce one CRQ's worth of packets (Figure 13)",
-            unit="cycles",
-        ).bind()
-        self._m_max_occupancy = self.registry.gauge(
-            "crq_max_occupancy", help="High-water mark of queue depth", unit="slots"
-        ).bind()
+        # Histogram tallies (value -> observations), written out by
+        # :meth:`publish_metrics`: queue depth after each admission and
+        # the span of each completed fill window.
+        self._depth_counts: dict[int, int] = {}
+        self._fill_counts: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -115,65 +95,55 @@ class CoalescedRequestQueue:
         if self.is_full:
             return False
         self._slots.append(_Slot(request, cycle))
-        self.stats.pushes += 1
-        self.stats.max_occupancy = max(self.stats.max_occupancy, len(self._slots))
-        self._m_pushes.inc()
-        self._m_depth.observe(len(self._slots))
-        self._m_max_occupancy.set_max(len(self._slots))
+        depth = len(self._slots)
+        stats = self.stats
+        stats.pushes += 1
+        if depth > stats.max_occupancy:
+            stats.max_occupancy = depth
+        self._depth_counts[depth] = self._depth_counts.get(depth, 0) + 1
         self._fill_window.append(
             produced_cycle if produced_cycle is not None else cycle
         )
         if len(self._fill_window) >= self.depth:
             fill_cycles = max(0, self._fill_window[-1] - self._fill_window[0])
-            self.stats.fills += 1
-            self.stats.total_fill_cycles += fill_cycles
+            stats.fills += 1
+            stats.total_fill_cycles += fill_cycles
             self._fill_window.clear()
-            self._m_fills.inc()
-            self._m_fill_cycles.observe(fill_cycles)
+            self._fill_counts[fill_cycles] = self._fill_counts.get(fill_cycles, 0) + 1
             self.registry.timeline.record(cycle, "crq", "fill", fill_cycles)
         return True
 
-    def record_activity_bulk(
-        self,
-        *,
-        pushes: int,
-        pops: int,
-        depth_counts: dict[int, int],
-        fills: int,
-        fill_total: int,
-        fill_counts: dict[int, int],
-        max_depth: int,
-    ) -> None:
-        """Apply a deferred batch of push/pop/fill accounting.
-
-        Used by the batched coalescing kernel
-        (:mod:`repro.kernels.coalesce`), which manipulates ``_slots``
-        and ``_fill_window`` directly and accumulates the statistics in
-        value->count form.  Equivalent to the per-call recording of
-        :meth:`push` / :meth:`pop` / :meth:`remove`; zero counts record
-        nothing (fill-timeline events are recorded live by the kernel,
-        since the timeline is ordered).
-        """
+    def publish_metrics(self) -> None:
+        """Write the run's CRQ series into the registry (once per run)."""
+        registry = self.registry
         stats = self.stats
-        if pushes:
-            stats.pushes += pushes
-            self._m_pushes.inc(pushes)
-            if max_depth > stats.max_occupancy:
-                stats.max_occupancy = max_depth
-            self._m_max_occupancy.set_max(max_depth)
-            depth = self._m_depth
-            for value in sorted(depth_counts):
-                depth.observe_bulk(value, depth_counts[value])
-        if pops:
-            stats.pops += pops
-            self._m_pops.inc(pops)
-        if fills:
-            stats.fills += fills
-            stats.total_fill_cycles += fill_total
-            self._m_fills.inc(fills)
-            fill_cycles = self._m_fill_cycles
-            for value in sorted(fill_counts):
-                fill_cycles.observe_bulk(value, fill_counts[value])
+        for name, help, total in (
+            ("crq_pushes_total", "Packets admitted into the CRQ", stats.pushes),
+            ("crq_pops_total", "Packets drained from the CRQ into MSHRs",
+             stats.pops),
+            ("crq_fills_total", "Times the CRQ produced a full queue's worth",
+             stats.fills),
+        ):
+            counter = registry.counter(name, help=help)
+            if total:
+                counter.inc(total)
+        registry.histogram(
+            "crq_depth",
+            buckets=(1, 2, 4, 8, 16, 32),
+            help="Queue depth observed after each admission (depth over time)",
+            unit="slots",
+        ).observe_counts(self._depth_counts)
+        registry.histogram(
+            "crq_fill_cycles",
+            buckets=(8, 16, 32, 64, 128, 256, 512),
+            help="Cycles to produce one CRQ's worth of packets (Figure 13)",
+            unit="cycles",
+        ).observe_counts(self._fill_counts)
+        max_occupancy = registry.gauge(
+            "crq_max_occupancy", help="High-water mark of queue depth", unit="slots"
+        )
+        if stats.pushes:
+            max_occupancy.set_max(stats.max_occupancy)
 
     def push_fence(self, cycle: int) -> None:
         """Enqueue a memory-fence marker (Section 3.4).
@@ -207,7 +177,6 @@ class CoalescedRequestQueue:
             raise IndexError("pop from empty CRQ")
         slot = self._slots.popleft()
         self.stats.pops += 1
-        self._m_pops.inc()
         return slot.request
 
     def iter_requests(self):
@@ -226,7 +195,6 @@ class CoalescedRequestQueue:
             if slot.request is request:
                 self._slots.remove(slot)
                 self.stats.pops += 1
-                self._m_pops.inc()
                 return
         raise ValueError("request not present in CRQ")
 

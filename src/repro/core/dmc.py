@@ -103,40 +103,9 @@ class DMCUnit:
         self.config = config
         self.stats = DMCStats()
         self.registry = registry if registry is not None else NULL_REGISTRY
-        # Per-request/-comparison recording: pre-bound handles.
-        self._m_sequences = self.registry.counter(
-            "dmc_sequences_total", help="Sorted sequences coalesced"
-        ).bind()
-        self._m_requests_in = self.registry.counter(
-            "dmc_requests_in_total", help="Requests entering first-phase coalescing"
-        ).bind()
-        self._m_packets_out = self.registry.counter(
-            "dmc_packets_out_total", help="Coalesced packets emitted into the CRQ"
-        ).bind()
-        self._m_comparisons = self.registry.counter(
-            "dmc_comparisons_total",
-            help="Simultaneous base-vs-rest comparisons (one per group)",
-        ).bind()
-        self._m_merges = self.registry.counter(
-            "dmc_merges_total", help="Requests absorbed into a coalescing group"
-        ).bind()
-        self._m_latency = self.registry.counter(
-            "dmc_latency_cycles_total",
-            help="Cycles spent in first-phase coalescing",
-            unit="cycles",
-        ).bind()
-        self._m_packet_lines = self.registry.histogram(
-            "dmc_packet_lines",
-            buckets=(1, 2, 4, 8),
-            help="Emitted packet size in cache lines (Figure 10 input)",
-            unit="lines",
-        ).bind()
-        self._m_merge_distance = self.registry.histogram(
-            "dmc_merge_distance_lines",
-            buckets=(0, 1, 2, 4, 8),
-            help="Line distance between an absorbed request and its group base",
-            unit="lines",
-        ).bind()
+        #: Line distance of each absorbed request from its group base
+        #: (value -> merges), written out by :meth:`publish_metrics`.
+        self._merge_distance_counts: dict[int, int] = {}
 
     def coalesce(
         self, requests: list[MemoryRequest], start_cycle: int = 0
@@ -157,10 +126,10 @@ class DMCUnit:
             The coalesced requests in FIFO order and the cycle at which
             the last one enters the CRQ.
         """
-        self.stats.sequences += 1
-        self.stats.requests_in += len(requests)
-        self._m_sequences.inc()
-        self._m_requests_in.inc(len(requests))
+        stats = self.stats
+        stats.sequences += 1
+        stats.requests_in += len(requests)
+        distances = self._merge_distance_counts
 
         packets: list[CoalescedRequest] = []
         latency = 0
@@ -178,8 +147,7 @@ class DMCUnit:
             base_block = base_req.line // max_lines
             # One simultaneous comparison of the base against the rest.
             latency += self.config.compare_cycles
-            self.stats.comparisons += 1
-            self._m_comparisons.inc()
+            stats.comparisons += 1
             j = i + 1
             while j < n:
                 nxt = requests[j]
@@ -201,9 +169,9 @@ class DMCUnit:
                 group.append(nxt)
                 group_lines.add(nxt.line)
                 latency += self.config.compare_cycles  # merge operation
-                self.stats.merges += 1
-                self._m_merges.inc()
-                self._m_merge_distance.observe(nxt.line - base_req.line)
+                stats.merges += 1
+                distance = nxt.line - base_req.line
+                distances[distance] = distances.get(distance, 0) + 1
                 j += 1
 
             if len(group) > 1:
@@ -215,63 +183,54 @@ class DMCUnit:
             packets.extend(self._emit(group, start_cycle + latency))
             i = j
 
+        stats.packets_out += len(packets)
         for pkt in packets:
-            self.stats.packets_out += 1
-            self.stats.packets_by_lines[pkt.num_lines] += 1
-            self._m_packets_out.inc()
-            self._m_packet_lines.observe(pkt.num_lines)
-        self.stats.total_latency_cycles += latency
-        self._m_latency.inc(latency)
+            stats.packets_by_lines[pkt.num_lines] += 1
+        stats.total_latency_cycles += latency
         return packets, start_cycle + latency
 
-    def record_activity_bulk(
-        self,
-        *,
-        sequences: int,
-        requests_in: int,
-        packets_out: int,
-        comparisons: int,
-        merges: int,
-        latency: int,
-        packet_lines: dict[int, int],
-        merge_distance_counts: dict[int, int],
-    ) -> None:
-        """Apply a deferred batch of coalescing accounting.
-
-        Used by the batched coalescing kernel
-        (:mod:`repro.kernels.coalesce`), which forms packets from
-        precomputed merge plans and accumulates the statistics in
-        value->count form.  Equivalent to the per-call recording of
-        :meth:`coalesce`; zero counts record nothing.
-        """
+    def publish_metrics(self) -> None:
+        """Write the run's DMC series into the registry (once per run)."""
+        registry = self.registry
         stats = self.stats
-        if sequences:
-            stats.sequences += sequences
-            self._m_sequences.inc(sequences)
-        if requests_in:
-            stats.requests_in += requests_in
-            self._m_requests_in.inc(requests_in)
-        if packets_out:
-            stats.packets_out += packets_out
-            self._m_packets_out.inc(packets_out)
-            packet_hist = self._m_packet_lines
-            for num_lines in sorted(packet_lines):
-                count = packet_lines[num_lines]
-                if count:
-                    stats.packets_by_lines[num_lines] += count
-                    packet_hist.observe_bulk(num_lines, count)
-        if comparisons:
-            stats.comparisons += comparisons
-            self._m_comparisons.inc(comparisons)
-        if merges:
-            stats.merges += merges
-            self._m_merges.inc(merges)
-            distance = self._m_merge_distance
-            for value in sorted(merge_distance_counts):
-                distance.observe_bulk(value, merge_distance_counts[value])
-        if latency:
-            stats.total_latency_cycles += latency
-            self._m_latency.inc(latency)
+        # Every coalesced sequence increments these three, by zero too.
+        for name, help, unit, total in (
+            ("dmc_sequences_total", "Sorted sequences coalesced", "",
+             stats.sequences),
+            ("dmc_requests_in_total",
+             "Requests entering first-phase coalescing", "",
+             stats.requests_in),
+            ("dmc_latency_cycles_total",
+             "Cycles spent in first-phase coalescing", "cycles",
+             stats.total_latency_cycles),
+        ):
+            counter = registry.counter(name, help=help, unit=unit)
+            if stats.sequences:
+                counter.inc(total)
+        for name, help, total in (
+            ("dmc_packets_out_total",
+             "Coalesced packets emitted into the CRQ", stats.packets_out),
+            ("dmc_comparisons_total",
+             "Simultaneous base-vs-rest comparisons (one per group)",
+             stats.comparisons),
+            ("dmc_merges_total",
+             "Requests absorbed into a coalescing group", stats.merges),
+        ):
+            counter = registry.counter(name, help=help)
+            if total:
+                counter.inc(total)
+        registry.histogram(
+            "dmc_packet_lines",
+            buckets=(1, 2, 4, 8),
+            help="Emitted packet size in cache lines (Figure 10 input)",
+            unit="lines",
+        ).observe_counts(stats.packets_by_lines)
+        registry.histogram(
+            "dmc_merge_distance_lines",
+            buckets=(0, 1, 2, 4, 8),
+            help="Line distance between an absorbed request and its group base",
+            unit="lines",
+        ).observe_counts(self._merge_distance_counts)
 
     def _emit(
         self, group: list[MemoryRequest], cycle: int

@@ -180,50 +180,20 @@ class DynamicMSHRFile:
         #: generation G cannot overlap anything until G advances -- the
         #: coalescer's merge-while-full pass keys its skip logic on this.
         self.alloc_gen = 0
-        # The record_* helpers run on every offer; pre-bound handles
-        # keep each one to a single dict update.
-        self._m_offers = self.registry.counter(
-            "mshr_offers_total", help="Requests offered to the MSHR file"
-        ).bind()
-        m_outcomes = self.registry.counter(
-            "mshr_outcomes_total",
-            help="Offer outcomes: case A (merged_full), case B (merged_partial), "
-            "case C (allocated), or rejected_full",
-        )
-        self._m_outcome_case = {
-            case: m_outcomes.bind(case=case)
-            for case in ("merged_full", "merged_partial", "allocated", "rejected_full")
-        }
-        self._m_subentries = self.registry.counter(
-            "mshr_subentries_total", help="Targets attached as subentries"
-        ).bind()
-        self._m_remainders = self.registry.counter(
-            "mshr_remainder_packets_total",
-            help="Re-packed packets produced by case-B splits",
-        ).bind()
-        self._m_completions = self.registry.counter(
-            "mshr_completions_total", help="Entries freed by HMC responses"
-        ).bind()
-        self._m_occupancy = self.registry.histogram(
-            "mshr_occupancy",
-            buckets=(0, 2, 4, 8, 16, 32),
-            help="Valid entries at each offer (subentry pressure context)",
-            unit="entries",
-        ).bind()
-        self._m_entry_subentries = self.registry.histogram(
-            "mshr_entry_subentries",
-            buckets=(1, 2, 4, 8, 16, 32),
-            help="Subentries per entry at completion (subentry pressure)",
-            unit="subentries",
-        ).bind()
+        # Histogram tallies (value -> observations), written out by
+        # :meth:`publish_metrics`: occupancy at each offer and the
+        # subentry count of each retired entry.
+        self._occupancy_counts: dict[int, int] = {}
+        self._entry_subentry_counts: dict[int, int] = {}
 
     # -- shared stat recording (also used by the coalescer's merge-only
     # pass, which manipulates entries without going through offer()) ---------
 
     def record_offer(self) -> None:
         self.stats.offered += 1
-        self._m_offers.inc()
-        self._m_occupancy.observe(self.occupancy())
+        occupancy = self.occupancy()
+        tally = self._occupancy_counts
+        tally[occupancy] = tally.get(occupancy, 0) + 1
 
     def record_outcome(self, case: str) -> None:
         """Count one offer outcome: merged_full (case A), merged_partial
@@ -238,74 +208,61 @@ class DynamicMSHRFile:
             self.stats.rejected_full += 1
         else:
             raise ValueError(f"unknown MSHR outcome {case!r}")
-        self._m_outcome_case[case].inc()
 
     def record_remainders(self, count: int) -> None:
         self.stats.remainder_packets += count
-        self._m_remainders.inc(count)
 
     def record_subentries(self, count: int) -> None:
         self.stats.subentries_added += count
-        self._m_subentries.inc(count)
 
-    # -- deferred batch recording (vector coalescing kernel) -----------------
-    #
-    # The batched kernel (repro.kernels.coalesce) keeps structural MSHR
-    # state live but defers all statistics into value->count
-    # accumulators, applied once per run through these helpers.  Each
-    # is exactly N record_* calls collapsed into one; zero counts are
-    # skipped so no metric sample is materialized that an unbatched run
-    # would not have created.
+    def record_completion(self, subentries: int) -> None:
+        """Count one retired entry that held ``subentries`` targets."""
+        self.stats.completions += 1
+        tally = self._entry_subentry_counts
+        tally[subentries] = tally.get(subentries, 0) + 1
 
-    def record_offers_bulk(
-        self, count: int, occupancy_counts: dict[int, int]
-    ) -> None:
-        """Apply ``count`` deferred offers with their occupancy multiset."""
-        if count:
-            self.stats.offered += count
-            self._m_offers.inc(count)
-        occupancy = self._m_occupancy
-        for value in sorted(occupancy_counts):
-            occupancy.observe_bulk(value, occupancy_counts[value])
-
-    def record_outcomes_bulk(self, outcomes: dict[str, int]) -> None:
-        """Apply deferred offer-outcome counts (case name -> count)."""
+    def publish_metrics(self) -> None:
+        """Write the run's MSHR series into the registry (once per run)."""
+        registry = self.registry
         stats = self.stats
-        for case, count in outcomes.items():
-            if not count:
-                continue
-            if case == "merged_full":
-                stats.merged_full += count
-            elif case == "merged_partial":
-                stats.merged_partial += count
-            elif case == "allocated":
-                stats.allocated += count
-            elif case == "rejected_full":
-                stats.rejected_full += count
-            else:
-                raise ValueError(f"unknown MSHR outcome {case!r}")
-            self._m_outcome_case[case].inc(count)
-
-    def record_merges_bulk(self, subentries: int, remainders: int) -> None:
-        """Apply deferred subentry-attach and case-B remainder counts."""
-        if subentries:
-            self.stats.subentries_added += subentries
-            self._m_subentries.inc(subentries)
-        if remainders:
-            self.stats.remainder_packets += remainders
-            self._m_remainders.inc(remainders)
-
-    def record_completions_bulk(
-        self, count: int, subentry_counts: dict[int, int]
-    ) -> None:
-        """Apply ``count`` deferred retirements with their
-        subentries-per-entry multiset."""
-        if count:
-            self.stats.completions += count
-            self._m_completions.inc(count)
-        entry_subs = self._m_entry_subentries
-        for value in sorted(subentry_counts):
-            entry_subs.observe_bulk(value, subentry_counts[value])
+        offers = registry.counter(
+            "mshr_offers_total", help="Requests offered to the MSHR file"
+        )
+        if stats.offered:
+            offers.inc(stats.offered)
+        outcomes = registry.counter(
+            "mshr_outcomes_total",
+            help="Offer outcomes: case A (merged_full), case B (merged_partial), "
+            "case C (allocated), or rejected_full",
+        )
+        for case in ("merged_full", "merged_partial", "allocated", "rejected_full"):
+            count = getattr(stats, case)
+            if count:
+                outcomes.inc(count, case=case)
+        for name, help, total in (
+            ("mshr_subentries_total", "Targets attached as subentries",
+             stats.subentries_added),
+            ("mshr_remainder_packets_total",
+             "Re-packed packets produced by case-B splits",
+             stats.remainder_packets),
+            ("mshr_completions_total", "Entries freed by HMC responses",
+             stats.completions),
+        ):
+            counter = registry.counter(name, help=help)
+            if total:
+                counter.inc(total)
+        registry.histogram(
+            "mshr_occupancy",
+            buckets=(0, 2, 4, 8, 16, 32),
+            help="Valid entries at each offer (subentry pressure context)",
+            unit="entries",
+        ).observe_counts(self._occupancy_counts)
+        registry.histogram(
+            "mshr_entry_subentries",
+            buckets=(1, 2, 4, 8, 16, 32),
+            help="Subentries per entry at completion (subentry pressure)",
+            unit="subentries",
+        ).observe_counts(self._entry_subentry_counts)
 
     # -- occupancy ---------------------------------------------------------
 
@@ -360,10 +317,8 @@ class DynamicMSHRFile:
                     )
                 )
                 self._retire(entry)
-                self._m_completions.inc()
-                self._m_entry_subentries.observe(len(entry.subentries))
+                self.record_completion(len(entry.subentries))
                 entry.subentries = []
-                self.stats.completions += 1
         if done:
             self._refresh_completion_bounds()
         return done

@@ -77,10 +77,8 @@ class ReferenceMSHRFile(DynamicMSHRFile):
                     )
                 )
                 entry.valid = False
-                self._m_completions.inc()
-                self._m_entry_subentries.observe(len(entry.subentries))
+                self.record_completion(len(entry.subentries))
                 entry.subentries = []
-                self.stats.completions += 1
         return done
 
     # -- second-phase coalescing --------------------------------------------

@@ -128,50 +128,11 @@ class PipelinedSortingNetwork:
         self.network = self.arch.network
         self.stats = SortPipelineStats()
         self.registry = registry if registry is not None else NULL_REGISTRY
-        # Per-sequence recording: pre-bound handles (labels resolved
-        # once here, not per launch).
-        self._m_sequences = self.registry.counter(
-            "sorter_sequences_total",
-            help="Sorted sequences launched, by flush reason",
-        )
-        self._m_sequences_reason: dict[str, object] = {}
-        self._m_requests = self.registry.counter(
-            "sorter_requests_total", help="Valid requests entering the sorter"
-        ).bind()
-        self._m_padding = self.registry.counter(
-            "sorter_padding_slots_total",
-            help="Invalid padding slots appended to short sequences",
-        ).bind()
-        self._m_fences = self.registry.counter(
-            "sorter_fence_slots_total",
-            help="Pipeline slots monopolized by memory fences",
-        ).bind()
-        self._m_comparator_ops = self.registry.counter(
-            "sorter_comparator_ops_total",
-            help="Comparator operations evaluated across all sequences",
-        ).bind()
-        self._m_stages_skipped = self.registry.counter(
-            "sorter_stages_skipped_total",
-            help="Merge stages skipped by stage select (Section 3.3)",
-        ).bind()
-        self._m_occupancy = self.registry.histogram(
-            "sorter_occupancy",
-            buckets=(1, 2, 4, 8, 16, 32),
-            help="Valid requests per launched sequence (buffer occupancy)",
-            unit="requests",
-        ).bind()
-        self._m_wait = self.registry.histogram(
-            "sorter_wait_cycles",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            help="Front-buffer wait before launch (timeout effect)",
-            unit="cycles",
-        ).bind()
-        self._m_sort_latency = self.registry.histogram(
-            "sorter_sort_latency_cycles",
-            buckets=(4, 8, 16, 32, 64, 128),
-            help="In-network latency per sorted sequence",
-            unit="cycles",
-        ).bind()
+        # Per-sequence histogram tallies (value -> sequences), written
+        # to the registry by :meth:`publish_metrics`.
+        self._occupancy_counts: dict[int, int] = {}
+        self._wait_counts: dict[int, int] = {}
+        self._sort_latency_counts: dict[int, int] = {}
 
         # Step time tau: one compare plus one exchange (Section 4.1:
         # "2 clock cycles per operation (totally 4 cycles)").
@@ -356,8 +317,8 @@ class PipelinedSortingNetwork:
     ) -> SortedSequence:
         """Account for one flushed sequence whose sort is already done.
 
-        All timing, statistics and metrics bookkeeping of a flush lives
-        here; :meth:`_flush` calls it after the comparator walk, and the
+        All timing and statistics bookkeeping of a flush lives here;
+        :meth:`_flush` calls it after the comparator walk, and the
         vector engine (:mod:`repro.kernels.replay`) calls it directly
         with batch-precomputed orderings so both engines share one
         digest-visible accounting implementation.  ``sorted_requests``
@@ -366,34 +327,28 @@ class PipelinedSortingNetwork:
         """
         padding = self.config.sorter_width - count
         stages_used = self.stages_for(count)
-        self.stats.stages_skipped += self.network.num_stages - stages_used
 
         launch = max(cycle, self._stage1_free_cycle)
         self._stage1_free_cycle = launch + self.initiation_interval_cycles
         complete = launch + self._stages_to_pipeline_latency(stages_used)
+        sort_latency = complete - launch
+        wait = max(0, launch - first_cycle)
 
-        comparator_ops = self.network.count_operations(stages_used)
-        self.stats.sequences += 1
-        self.stats.requests_sorted += count
-        self.stats.padding_slots += padding
-        self.stats.comparator_ops += comparator_ops
-        self.stats.total_sort_latency_cycles += complete - launch
-        self.stats.total_wait_latency_cycles += max(0, launch - first_cycle)
-        setattr(self.stats, f"flushes_{reason}", getattr(self.stats, f"flushes_{reason}") + 1)
-
-        bound = self._m_sequences_reason.get(reason)
-        if bound is None:
-            bound = self._m_sequences_reason[reason] = self._m_sequences.bind(
-                reason=reason
-            )
-        bound.inc()
-        self._m_requests.inc(count)
-        self._m_padding.inc(padding)
-        self._m_comparator_ops.inc(comparator_ops)
-        self._m_stages_skipped.inc(self.network.num_stages - stages_used)
-        self._m_occupancy.observe(count)
-        self._m_wait.observe(max(0, launch - first_cycle))
-        self._m_sort_latency.observe(complete - launch)
+        stats = self.stats
+        stats.sequences += 1
+        stats.requests_sorted += count
+        stats.padding_slots += padding
+        stats.comparator_ops += self.network.count_operations(stages_used)
+        stats.stages_skipped += self.network.num_stages - stages_used
+        stats.total_sort_latency_cycles += sort_latency
+        stats.total_wait_latency_cycles += wait
+        setattr(stats, f"flushes_{reason}", getattr(stats, f"flushes_{reason}") + 1)
+        tally = self._occupancy_counts
+        tally[count] = tally.get(count, 0) + 1
+        tally = self._wait_counts
+        tally[wait] = tally.get(wait, 0) + 1
+        tally = self._sort_latency_counts
+        tally[sort_latency] = tally.get(sort_latency, 0) + 1
         self.registry.timeline.record(launch, "sorter", reason, count)
 
         return SortedSequence(
@@ -412,7 +367,6 @@ class PipelinedSortingNetwork:
         self._stage1_free_cycle = launch + self.initiation_interval_cycles
         complete = launch + self.full_latency_cycles
         self.stats.fence_slots += 1
-        self._m_fences.inc()
         self.registry.timeline.record(launch, "sorter", "fence_slot")
         return SortedSequence(
             requests=[],
@@ -423,3 +377,58 @@ class PipelinedSortingNetwork:
             flush_reason="fence",
             is_fence=True,
         )
+
+    def publish_metrics(self) -> None:
+        """Write the run's sorter series into the registry (once per run)."""
+        registry = self.registry
+        stats = self.stats
+        sequences = registry.counter(
+            "sorter_sequences_total",
+            help="Sorted sequences launched, by flush reason",
+        )
+        for reason in ("full", "timeout", "fence", "drain"):
+            flushes = getattr(stats, f"flushes_{reason}")
+            if flushes:
+                sequences.inc(flushes, reason=reason)
+        # Every launch increments these four, by zero too, so each
+        # series exists once a sequence has launched.
+        for name, help, total in (
+            ("sorter_requests_total",
+             "Valid requests entering the sorter", stats.requests_sorted),
+            ("sorter_padding_slots_total",
+             "Invalid padding slots appended to short sequences",
+             stats.padding_slots),
+            ("sorter_comparator_ops_total",
+             "Comparator operations evaluated across all sequences",
+             stats.comparator_ops),
+            ("sorter_stages_skipped_total",
+             "Merge stages skipped by stage select (Section 3.3)",
+             stats.stages_skipped),
+        ):
+            counter = registry.counter(name, help=help)
+            if stats.sequences:
+                counter.inc(total)
+        fences = registry.counter(
+            "sorter_fence_slots_total",
+            help="Pipeline slots monopolized by memory fences",
+        )
+        if stats.fence_slots:
+            fences.inc(stats.fence_slots)
+        registry.histogram(
+            "sorter_occupancy",
+            buckets=(1, 2, 4, 8, 16, 32),
+            help="Valid requests per launched sequence (buffer occupancy)",
+            unit="requests",
+        ).observe_counts(self._occupancy_counts)
+        registry.histogram(
+            "sorter_wait_cycles",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
+            help="Front-buffer wait before launch (timeout effect)",
+            unit="cycles",
+        ).observe_counts(self._wait_counts)
+        registry.histogram(
+            "sorter_sort_latency_cycles",
+            buckets=(4, 8, 16, 32, 64, 128),
+            help="In-network latency per sorted sequence",
+            unit="cycles",
+        ).observe_counts(self._sort_latency_counts)

@@ -98,41 +98,6 @@ class HMCDevice:
             for i in range(self.config.num_vaults)
         ]
         self.stats = HMCStats()
-        # _account runs once per transaction; pre-bind every label set
-        # it can touch so the hot path never re-resolves label keys.
-        m_requests = self.registry.counter(
-            "hmc_requests_total", help="HMC transactions served, by operation"
-        )
-        self._m_requests_op = {
-            "read": m_requests.bind(op="read"),
-            "write": m_requests.bind(op="write"),
-        }
-        self._m_payload = self.registry.counter(
-            "hmc_payload_bytes_total", help="Packet payload bytes", unit="bytes"
-        ).bind()
-        self._m_requested = self.registry.counter(
-            "hmc_requested_bytes_total",
-            help="Bytes the application actually asked for (Equation 1 numerator)",
-            unit="bytes",
-        ).bind()
-        self._m_control = self.registry.counter(
-            "hmc_control_bytes_total",
-            help="Control bytes across all transactions",
-            unit="bytes",
-        ).bind()
-        m_rows = self.registry.counter(
-            "hmc_row_accesses_total", help="Row-buffer outcomes across all banks"
-        )
-        self._m_rows_outcome = {
-            True: m_rows.bind(outcome="hit"),
-            False: m_rows.bind(outcome="miss"),
-        }
-        self._m_packet_bytes = self.registry.histogram(
-            "hmc_packet_bytes",
-            buckets=(16, 32, 64, 128, 256, 512),
-            help="Issued packet payload size distribution (Figure 10)",
-            unit="bytes",
-        ).bind()
         # service() runs per transaction: pure-config values are cached
         # so the hot path never chases config attributes (identical
         # arithmetic, identical results).
@@ -140,77 +105,55 @@ class HMCDevice:
         self._capacity = self.config.capacity_bytes
         self._num_vaults = self.config.num_vaults
         self._half_serdes_ns = self.config.t_serdes_ns / 2
-        self._deferred = False
-        self._a_reads = 0
-        self._a_writes = 0
-        self._a_payload = 0
-        self._a_requested = 0
-        self._a_control = 0
-        self._a_hits = 0
-        self._a_misses = 0
-        self._a_packets: list[int] = []
-
-    def defer_metrics(self) -> None:
-        """Batch registry writes for the whole device stack.
-
-        Puts the device, its link and every vault into deferred mode:
-        the service path accumulates counter totals in plain attributes
-        and buffers histogram observations; the legacy ``stats``
-        dataclasses stay live.  :meth:`apply_deferred_metrics` applies
-        counters as one increment each (bit-exact: adding a fold's
-        total to a fresh zero sample reproduces the fold) and replays
-        histogram observations in call order.  Callers must apply
-        before reading the registry -- the replay driver does so before
-        the digest, charged to the flush phase.
-
-        Re-entrant: a second ``defer_metrics()`` before the apply is a
-        no-op, so nested users (driver + batched back end) never drop
-        an already-accumulating batch.
-        """
-        if not self._deferred:
-            self._deferred = True
-            self._a_reads = 0
-            self._a_writes = 0
-            self._a_payload = 0
-            self._a_requested = 0
-            self._a_control = 0
-            self._a_hits = 0
-            self._a_misses = 0
-            self._a_packets = []
-        self.link.defer_metrics()
-        for vault in self.vaults:
-            vault.defer_metrics()
 
     def apply_deferred_metrics(self) -> None:
-        """Flush all deferred accumulators into the registry.
+        """Write the run's HMC series into the registry: the device's,
+        the link's and every vault's (once per run).
 
-        No-op unless :meth:`defer_metrics` is pending, so the driver
-        may call it unconditionally after a replay.  Zero-count batches
-        record nothing, matching the live path's lazy sample
-        materialization.
+        The stack's one publish step; the name predates it and is kept
+        because ``perfbench/tracing.py`` times this method by name.
+        Every series is one increment of a stats total (or, for the
+        packet-size histogram, ``size_histogram`` in sorted size
+        order), so the samples equal what per-event writes made.
         """
-        if not self._deferred:
-            return
-        self._deferred = False
-        if self._a_reads:
-            self._m_requests_op["read"].inc(self._a_reads)
-        if self._a_writes:
-            self._m_requests_op["write"].inc(self._a_writes)
-        if self._a_reads or self._a_writes:
-            self._m_payload.inc(self._a_payload)
-            self._m_requested.inc(self._a_requested)
-            self._m_control.inc(self._a_control)
-        if self._a_hits:
-            self._m_rows_outcome[True].inc(self._a_hits)
-        if self._a_misses:
-            self._m_rows_outcome[False].inc(self._a_misses)
-        observe = self._m_packet_bytes.observe
-        for packet_bytes in self._a_packets:
-            observe(packet_bytes)
-        self._a_packets = []
-        self.link.apply_deferred_metrics()
+        registry = self.registry
+        stats = self.stats
+        requests = registry.counter(
+            "hmc_requests_total", help="HMC transactions served, by operation"
+        )
+        if stats.reads:
+            requests.inc(stats.reads, op="read")
+        if stats.writes:
+            requests.inc(stats.writes, op="write")
+        # Every transaction increments these three, by zero too.
+        for name, help, total in (
+            ("hmc_payload_bytes_total", "Packet payload bytes",
+             stats.payload_bytes),
+            ("hmc_requested_bytes_total",
+             "Bytes the application actually asked for (Equation 1 numerator)",
+             stats.requested_bytes),
+            ("hmc_control_bytes_total",
+             "Control bytes across all transactions", stats.control_bytes),
+        ):
+            counter = registry.counter(name, help=help, unit="bytes")
+            if stats.requests:
+                counter.inc(total)
+        rows = registry.counter(
+            "hmc_row_accesses_total", help="Row-buffer outcomes across all banks"
+        )
+        if stats.row_hits:
+            rows.inc(stats.row_hits, outcome="hit")
+        if stats.row_misses:
+            rows.inc(stats.row_misses, outcome="miss")
+        registry.histogram(
+            "hmc_packet_bytes",
+            buckets=(16, 32, 64, 128, 256, 512),
+            help="Issued packet payload size distribution (Figure 10)",
+            unit="bytes",
+        ).observe_counts(stats.size_histogram)
+        self.link.publish_metrics()
         for vault in self.vaults:
-            vault.apply_deferred_metrics()
+            vault.publish_metrics()
 
     def _account(
         self,
@@ -224,7 +167,7 @@ class HMCDevice:
         complete_ns: float,
         packet_bytes: int | None = None,
     ) -> None:
-        """Accumulate one transaction into stats and registry.
+        """Accumulate one transaction into the stats.
 
         ``packet_bytes`` sizes the distribution bucket when it differs
         from the accounted payload (the atomic path's operand FLIT).
@@ -245,27 +188,6 @@ class HMCDevice:
         s.total_latency_ns += latency_ns
         s.last_complete_ns = max(s.last_complete_ns, complete_ns)
         s.size_histogram[packet_bytes] = s.size_histogram.get(packet_bytes, 0) + 1
-
-        if self._deferred:
-            if op == "write":
-                self._a_writes += 1
-            else:
-                self._a_reads += 1
-            self._a_payload += payload
-            self._a_requested += requested
-            self._a_control += control
-            if row_hit:
-                self._a_hits += 1
-            else:
-                self._a_misses += 1
-            self._a_packets.append(packet_bytes)
-        else:
-            self._m_requests_op[op].inc()
-            self._m_payload.inc(payload)
-            self._m_requested.inc(requested)
-            self._m_control.inc(control)
-            self._m_rows_outcome[row_hit].inc()
-            self._m_packet_bytes.observe(packet_bytes)
 
     def service(
         self,
@@ -318,7 +240,7 @@ class HMCDevice:
         driver calls this directly to skip the response-object
         construction it would immediately discard.  Accounting is
         inlined (see :meth:`_account`, kept for the atomic path) with
-        identical arithmetic and identical registry call order.
+        identical arithmetic.
         """
         block_bytes = self._block_bytes
         block = addr // block_bytes
@@ -353,18 +275,6 @@ class HMCDevice:
             lstats.payload_bytes += data_bytes
             lstats.control_bytes += REQUEST_CONTROL_BYTES
             lstats.busy_ns += total_time
-            if link._deferred:
-                link._a_transactions += 1
-                link._a_flits += flits
-                link._a_payload += data_bytes
-                link._a_control += REQUEST_CONTROL_BYTES
-                link._a_busy += total_time
-            else:
-                link._m_transactions.inc(1)
-                link._m_flits.inc(flits)
-                link._m_payload_bytes.inc(data_bytes)
-                link._m_control_bytes.inc(REQUEST_CONTROL_BYTES)
-                link._m_busy.inc(total_time)
             at_vault = start + req_time
         at_vault += self._half_serdes_ns
         done, row_hit = self.vaults[vault_index].service(addr, data_bytes, at_vault)
@@ -387,27 +297,6 @@ class HMCDevice:
         s.total_latency_ns += complete - arrive_ns
         s.last_complete_ns = max(s.last_complete_ns, complete)
         s.size_histogram[data_bytes] = s.size_histogram.get(data_bytes, 0) + 1
-
-        if self._deferred:
-            if is_write:
-                self._a_writes += 1
-            else:
-                self._a_reads += 1
-            self._a_payload += data_bytes
-            self._a_requested += req
-            self._a_control += REQUEST_CONTROL_BYTES
-            if row_hit:
-                self._a_hits += 1
-            else:
-                self._a_misses += 1
-            self._a_packets.append(data_bytes)
-        else:
-            self._m_requests_op["write" if is_write else "read"].inc()
-            self._m_payload.inc(data_bytes)
-            self._m_requested.inc(req)
-            self._m_control.inc(REQUEST_CONTROL_BYTES)
-            self._m_rows_outcome[row_hit].inc()
-            self._m_packet_bytes.observe(data_bytes)
 
         return complete, row_hit, vault_index
 

@@ -47,23 +47,6 @@ class HMCLink:
         self.free_at_ns = 0.0
         self.stats = LinkStats()
         self.registry = registry if registry is not None else NULL_REGISTRY
-        # account() runs per transaction: pre-bound handles throughout.
-        self._m_transactions = self.registry.counter(
-            "link_transactions_total", help="Transactions serialized on the links"
-        ).bind()
-        self._m_flits = self.registry.counter(
-            "link_flits_total", help="16 B FLITs moved in both directions"
-        ).bind()
-        m_bytes = self.registry.counter(
-            "link_bytes_total",
-            help="Bytes crossing the links, split payload vs control",
-            unit="bytes",
-        )
-        self._m_payload_bytes = m_bytes.bind(kind="payload")
-        self._m_control_bytes = m_bytes.bind(kind="control")
-        self._m_busy = self.registry.counter(
-            "link_busy_ns_total", help="Time the links spent moving FLITs", unit="ns"
-        ).bind()
         # transfer() runs per transaction: the FLIT rate never changes,
         # so the serialization divisor is cached (identical arithmetic),
         # and the handful of distinct (payload, direction) FLIT
@@ -71,51 +54,40 @@ class HMCLink:
         # with the exact expression the uncached path used).
         self._link_bw = self.config.link_bandwidth_gbps
         self._flit_cache: dict[tuple[int, bool], tuple[int, float, float]] = {}
-        self._deferred = False
-        self._a_transactions = 0
-        self._a_flits = 0
-        self._a_payload = 0
-        self._a_control = 0
-        self._a_busy = 0.0
 
-    def defer_metrics(self) -> None:
-        """Batch this link's registry writes (see ``HMCDevice``).
+    def publish_metrics(self) -> None:
+        """Write the run's link series into the registry (once per run).
 
-        Re-entrant: a repeated defer before the apply keeps the batch
-        already accumulated instead of dropping it.
+        ``busy_ns`` is the same left fold of per-transaction times the
+        per-event counter made, so one increment onto a fresh sample
+        reproduces it bit for bit.
         """
-        if self._deferred:
-            return
-        self._deferred = True
-        self._a_transactions = 0
-        self._a_flits = 0
-        self._a_payload = 0
-        self._a_control = 0
-        self._a_busy = 0.0
-
-    def apply_deferred_metrics(self) -> None:
-        """Flush the deferred accumulators into the registry.
-
-        Each nonzero total applies as one increment -- bit-exact, since
-        adding a fold's total to a zero sample reproduces the fold, and
-        the live path skips zero increments entirely (so zero totals
-        recording nothing matches its sample materialization too).
-        No-op unless a defer is pending, so callers may apply
-        unconditionally.
-        """
-        if not self._deferred:
-            return
-        self._deferred = False
-        if self._a_transactions:
-            self._m_transactions.inc(self._a_transactions)
-        if self._a_flits:
-            self._m_flits.inc(self._a_flits)
-        if self._a_payload:
-            self._m_payload_bytes.inc(self._a_payload)
-        if self._a_control:
-            self._m_control_bytes.inc(self._a_control)
-        if self._a_busy:
-            self._m_busy.inc(self._a_busy)
+        registry = self.registry
+        stats = self.stats
+        transactions = registry.counter(
+            "link_transactions_total", help="Transactions serialized on the links"
+        )
+        flits = registry.counter(
+            "link_flits_total", help="16 B FLITs moved in both directions"
+        )
+        link_bytes = registry.counter(
+            "link_bytes_total",
+            help="Bytes crossing the links, split payload vs control",
+            unit="bytes",
+        )
+        busy = registry.counter(
+            "link_busy_ns_total", help="Time the links spent moving FLITs", unit="ns"
+        )
+        if stats.transactions:
+            transactions.inc(stats.transactions)
+        if stats.flits:
+            flits.inc(stats.flits)
+        if stats.payload_bytes:
+            link_bytes.inc(stats.payload_bytes, kind="payload")
+        if stats.control_bytes:
+            link_bytes.inc(stats.control_bytes, kind="control")
+        if stats.busy_ns:
+            busy.inc(stats.busy_ns)
 
     def account(
         self,
@@ -126,7 +98,7 @@ class HMCLink:
         control_bytes: int = 0,
         busy_ns: float = 0.0,
     ) -> None:
-        """Record link traffic in both the legacy stats and the registry.
+        """Record link traffic in the stats.
 
         The device's atomic path shapes its own FLIT schedule, so this
         is the one shared accounting entry point.
@@ -137,23 +109,6 @@ class HMCLink:
         stats.payload_bytes += payload_bytes
         stats.control_bytes += control_bytes
         stats.busy_ns += busy_ns
-        if self._deferred:
-            self._a_transactions += transactions
-            self._a_flits += flits
-            self._a_payload += payload_bytes
-            self._a_control += control_bytes
-            self._a_busy += busy_ns
-            return
-        if transactions:
-            self._m_transactions.inc(transactions)
-        if flits:
-            self._m_flits.inc(flits)
-        if payload_bytes:
-            self._m_payload_bytes.inc(payload_bytes)
-        if control_bytes:
-            self._m_control_bytes.inc(control_bytes)
-        if busy_ns:
-            self._m_busy.inc(busy_ns)
 
     def transfer(
         self, data_bytes: int, arrive_ns: float, *, is_write: bool
@@ -182,27 +137,13 @@ class HMCLink:
         self.free_at_ns = start + total_time
 
         # Inlined :meth:`account` (the kwargs call costs as much as the
-        # arithmetic here); every amount is nonzero for a transfer, so
-        # the live increments run unconditionally like the guarded path
-        # would.
+        # arithmetic here).
         stats = self.stats
         stats.transactions += 1
         stats.flits += flits
         stats.payload_bytes += data_bytes
         stats.control_bytes += REQUEST_CONTROL_BYTES
         stats.busy_ns += total_time
-        if self._deferred:
-            self._a_transactions += 1
-            self._a_flits += flits
-            self._a_payload += data_bytes
-            self._a_control += REQUEST_CONTROL_BYTES
-            self._a_busy += total_time
-        else:
-            self._m_transactions.inc(1)
-            self._m_flits.inc(flits)
-            self._m_payload_bytes.inc(data_bytes)
-            self._m_control_bytes.inc(REQUEST_CONTROL_BYTES)
-            self._m_busy.inc(total_time)
         return start + req_time
 
     def utilization(self, elapsed_ns: float) -> float:

@@ -68,25 +68,9 @@ class Vault:
         self.free_at_ns = 0.0
         self.stats = VaultStats()
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self._label = str(index)
-        # Every sample from this vault carries the same label, so the
-        # service loop uses pre-bound handles (one dict update each).
-        self._m_requests = self.registry.counter(
-            "vault_requests_total", help="Requests served, per vault"
-        ).bind(vault=self._label)
-        self._m_conflicts = self.registry.counter(
-            "vault_bank_conflicts_total",
-            help="Row-buffer misses (precharge/activate stalls), per vault",
-        ).bind(vault=self._label)
-        self._m_busy = self.registry.counter(
-            "vault_busy_ns_total", help="DRAM + TSV service time, per vault", unit="ns"
-        ).bind(vault=self._label)
-        self._m_queue_wait = self.registry.histogram(
-            "vault_queue_wait_ns",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-            help="Per-request wait behind earlier requests (queue depth proxy)",
-            unit="ns",
-        ).bind(vault=self._label)
+        #: Queue wait of each served request, in arrival order; the
+        #: ``vault_queue_wait_ns`` float sum must fold in that order.
+        self._waits: list[float] = []
         # service() runs per transaction: pure-config address math and
         # DRAM latencies resolve to the same values on every call, so
         # they are cached here (identical arithmetic, identical floats).
@@ -102,49 +86,43 @@ class Vault:
         self._row_hit_ns = config.row_hit_ns()
         self._row_miss_ns = config.row_miss_ns()
         self._vault_bw = config.vault_bandwidth_gbps
-        self._deferred = False
-        self._a_requests = 0
-        self._a_conflicts = 0
-        self._a_busy = 0.0
-        self._a_waits: list[float] = []
 
-    def defer_metrics(self) -> None:
-        """Batch this vault's registry writes (see ``HMCDevice``).
+    def publish_metrics(self) -> None:
+        """Write this vault's series into the registry (once per run).
 
-        Re-entrant: a repeated defer before the apply keeps the batch
-        already accumulated instead of dropping it.
+        Counters are one increment of the stats total (``busy_ns`` is
+        the same left fold the per-event counter made); the queue waits
+        replay in arrival order, so the histogram's float sum folds
+        exactly as per-event observation would.  A vault that served
+        nothing creates no series.
         """
-        if self._deferred:
-            return
-        self._deferred = True
-        self._a_requests = 0
-        self._a_conflicts = 0
-        self._a_busy = 0.0
-        self._a_waits = []
-
-    def apply_deferred_metrics(self) -> None:
-        """Flush the deferred accumulators into the registry.
-
-        Counters apply as one increment (bit-exact: the accumulator
-        repeated the live fold against a fresh sample, and adding the
-        total to zero reproduces it); the queue-wait observations
-        replay in call order so the histogram's float sum folds
-        identically.  Zero-count batches record nothing, matching the
-        live path's lazy sample materialization.  No-op unless a defer
-        is pending, so callers may apply unconditionally.
-        """
-        if not self._deferred:
-            return
-        self._deferred = False
-        if self._a_requests:
-            self._m_requests.inc(self._a_requests)
-            self._m_busy.inc(self._a_busy)
-        if self._a_conflicts:
-            self._m_conflicts.inc(self._a_conflicts)
-        observe = self._m_queue_wait.observe
-        for wait in self._a_waits:
+        registry = self.registry
+        stats = self.stats
+        label = str(self.index)
+        requests = registry.counter(
+            "vault_requests_total", help="Requests served, per vault"
+        )
+        conflicts = registry.counter(
+            "vault_bank_conflicts_total",
+            help="Row-buffer misses (precharge/activate stalls), per vault",
+        )
+        busy = registry.counter(
+            "vault_busy_ns_total", help="DRAM + TSV service time, per vault", unit="ns"
+        )
+        waits = registry.histogram(
+            "vault_queue_wait_ns",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+            help="Per-request wait behind earlier requests (queue depth proxy)",
+            unit="ns",
+        )
+        if stats.requests:
+            requests.inc(stats.requests, vault=label)
+            busy.inc(stats.busy_ns, vault=label)
+        if stats.row_misses:
+            conflicts.inc(stats.row_misses, vault=label)
+        observe = waits.bind(vault=label).observe
+        for wait in self._waits:
             observe(wait)
-        self._a_waits = []
 
     def service(
         self, addr: int, data_bytes: int, arrive_ns: float
@@ -162,8 +140,10 @@ class Vault:
         row = addr // self._row_stride
         free_at = self.free_at_ns
         start = arrive_ns if arrive_ns > free_at else free_at
+        wait = start - arrive_ns
         stats = self.stats
-        stats.queued_ns += start - arrive_ns
+        stats.queued_ns += wait
+        self._waits.append(wait)
 
         bank = self.banks[bank_idx]
         if self._closed_page:
@@ -188,24 +168,10 @@ class Vault:
         self.free_at_ns = complete
         stats.requests += 1
         stats.busy_ns += dram + xfer
-        if self._deferred:
-            if hit:
-                stats.row_hits += 1
-            else:
-                stats.row_misses += 1
-                self._a_conflicts += 1
-            self._a_requests += 1
-            self._a_busy += dram + xfer
-            self._a_waits.append(start - arrive_ns)
+        if hit:
+            stats.row_hits += 1
         else:
-            if hit:
-                stats.row_hits += 1
-            else:
-                stats.row_misses += 1
-                self._m_conflicts.inc()
-            self._m_requests.inc()
-            self._m_busy.inc(dram + xfer)
-            self._m_queue_wait.observe(start - arrive_ns)
+            stats.row_misses += 1
         return complete, hit
 
     @property

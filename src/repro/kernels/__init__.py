@@ -42,6 +42,41 @@ ENGINES = ("object", "vector")
 DEFAULT_ENGINE = "vector"
 
 
+class KernelCounters:
+    """Engagement, delegation and fallback counts of one kernel.
+
+    Per process, *not* registry metrics: the registry is digest-visible
+    and must be engine-invariant, while which engine ran (and whether it
+    fell back) is run metadata the perf harness reads.  Each kernel
+    module keeps one instance and exposes its :meth:`snapshot` and
+    :meth:`reset` as ``kernel_counters()`` / ``reset_kernel_counters()``.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero the counters (test isolation)."""
+        self.engaged = 0
+        self.delegated = 0
+        self.fallbacks = 0
+        self.fallback_reasons: dict[str, int] = {}
+
+    def snapshot(self) -> dict:
+        """The counters as a fresh dict."""
+        return {
+            "engaged": self.engaged,
+            "delegated": self.delegated,
+            "fallbacks": self.fallbacks,
+            "fallback_reasons": dict(self.fallback_reasons),
+        }
+
+    def record_fallback(self, reason: str) -> None:
+        self.fallbacks += 1
+        reasons = self.fallback_reasons
+        reasons[reason] = reasons.get(reason, 0) + 1
+
+
 def resolve_engine(engine: str | None) -> str:
     """Normalize an ``engine=`` argument, defaulting to the vector path."""
     if engine is None:
@@ -53,4 +88,4 @@ def resolve_engine(engine: str | None) -> str:
     return engine
 
 
-__all__ = ["ENGINES", "DEFAULT_ENGINE", "resolve_engine"]
+__all__ = ["ENGINES", "DEFAULT_ENGINE", "KernelCounters", "resolve_engine"]

@@ -2,10 +2,10 @@
 
 The vector replay engine (:mod:`repro.kernels.replay`) eliminated the
 per-row comparator walk, but every flushed sequence still ran the
-object DMC/CRQ/MSHR machinery call-for-call -- per-packet metric
-increments, per-offer occupancy observations, and (dominating the
-profile) thousands of *repeat* rejected-full drains while the MSHR
-file sat fully occupied.  This module removes that ceiling in three
+object DMC/CRQ/MSHR machinery call-for-call -- per-packet method
+calls, per-offer bookkeeping, and (dominating the profile) thousands
+of *repeat* rejected-full drains while the MSHR file sat fully
+occupied.  This module removes that ceiling in three
 moves, none of which change a digest-visible effect:
 
 **Merge plans.**  The DMC unit's group boundaries are a pure function
@@ -19,18 +19,14 @@ same batched key matrix the sort planner already builds, so packet
 formation becomes list slicing instead of a scan with per-merge
 bookkeeping.
 
-**Deferred accounting.**  Every counter increment and histogram
-observation the object path performs is commutative and
-order-independent (counters sum; histogram buckets, sums, counts and
-min/max are multiset functions of the observed values; the high-water
-gauge is a max).  :class:`BatchedCoalescer` therefore keeps the
-*structural* state live (CRQ slots, MSHR entries, free heap, line
-index, completion bounds, HMC device calls -- everything whose order
-matters) and accumulates the statistics in plain ints and small
-value->count dicts, applying them once at the end of the run through
-the ``record_*_bulk`` helpers on the core components.  Zero-count
-batches are skipped so the lazily-materialized metric samples match
-the object run exactly.
+**Inline accounting.**  The core components count each event once, in
+their ``*Stats`` dataclasses and small value->count tallies, and write
+their registry series at run end (``publish_metrics``).
+:class:`BatchedCoalescer` keeps the *structural* state in the wrapped
+components (CRQ slots, MSHR entries, free heap, line index, HMC device
+calls -- everything whose order matters) and adds straight into those
+same stats and tallies, so its run publishes exactly what the object
+run would.
 
 **Drain memoization.**  When a drain ends in ``rejected_full``, the
 object path repeats the identical offer/reject/merge-pass sequence on
@@ -39,7 +35,7 @@ the merge-while-full pass marks every queued request with the current
 ``alloc_gen``, so re-running it is a no-op, and the head's re-offer
 deterministically records one offer + occupancy + rejection.  The
 kernel memoizes that terminal state as ``(head slot, alloc_gen,
-retire count)`` and replays repeats in three deferred updates.  Any
+retire count)`` and replays repeats as three counter updates.  Any
 allocation, retirement or enqueue invalidates the memo.  The replay
 row loop goes one step further: a *run* of consecutive memo-hit
 drains has cycle-independent accounting, so the loop just counts them
@@ -90,10 +86,18 @@ from repro.core.dmc import DMCUnit, split_aligned_runs
 from repro.core.mshr import DynamicMSHRFile
 from repro.core.pipeline import PipelinedSortingNetwork
 from repro.core.request import CoalescedRequest, MemoryRequest
+from repro.kernels import KernelCounters
 
 _ADDR_MASK = (1 << TYPE_BIT) - 1
 _LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 _BY_INDEX = itemgetter(1)
+
+
+#: This kernel's engagement/fallback counts (see
+#: :class:`~repro.kernels.KernelCounters`).
+COUNTERS = KernelCounters()
+kernel_counters = COUNTERS.snapshot
+reset_kernel_counters = COUNTERS.reset
 
 
 class CoalesceKernelError(RuntimeError):
@@ -101,57 +105,17 @@ class CoalesceKernelError(RuntimeError):
 
     Raised instead of silently continuing; the replay driver catches
     it, rebuilds the component stack and re-runs the object engine
-    (see ``repro.sim.driver._replay_benchmark``).
+    (see ``repro.sim.driver._replay_benchmark``).  Creating one counts
+    one fallback in :attr:`counters`, the raising kernel's own, so each
+    fallback is counted once, by the kernel it starts in.
     """
+
+    counters = COUNTERS
 
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-# -- engagement / fallback telemetry ----------------------------------------
-#
-# Module-level, *not* registry metrics: the registry is digest-visible
-# and must be engine-invariant, but which engine ran (and whether it
-# fell back) is exactly the kind of run metadata the perf harness wants
-# to surface.  Counters accumulate per process; the harness snapshots
-# around each attempt.
-
-_COUNTERS: dict = {
-    "engaged": 0,
-    "delegated": 0,
-    "fallbacks": 0,
-    "fallback_reasons": {},
-}
-
-
-def kernel_counters() -> dict:
-    """Snapshot of the engagement/fallback counters (copied)."""
-    out = dict(_COUNTERS)
-    out["fallback_reasons"] = dict(_COUNTERS["fallback_reasons"])
-    return out
-
-
-def reset_kernel_counters() -> None:
-    """Zero the counters (test isolation)."""
-    _COUNTERS["engaged"] = 0
-    _COUNTERS["delegated"] = 0
-    _COUNTERS["fallbacks"] = 0
-    _COUNTERS["fallback_reasons"] = {}
-
-
-def record_engaged() -> None:
-    _COUNTERS["engaged"] += 1
-
-
-def record_delegated() -> None:
-    _COUNTERS["delegated"] += 1
-
-
-def record_fallback(reason: str) -> None:
-    _COUNTERS["fallbacks"] += 1
-    reasons = _COUNTERS["fallback_reasons"]
-    reasons[reason] = reasons.get(reason, 0) + 1
+        self.counters.record_fallback(reason)
 
 
 def supports_batched_coalesce(coalescer: MemoryCoalescer) -> bool:
@@ -224,9 +188,9 @@ class BatchedCoalescer:
     :func:`supports_batched_coalesce`) and substitutes for its
     ``_complete_up_to`` / ``_handle_sequence`` / ``_drain_crq`` /
     ``flush`` internals inside the vector replay loop.  Structural
-    state lives in the wrapped components; statistics are deferred (see
-    the module docstring) and applied once by :meth:`finalize`, which
-    :meth:`finish` calls at end of trace.
+    state and statistics live in the wrapped components (see the module
+    docstring); :meth:`finish` retires the run at end of trace and
+    :meth:`finalize` materializes the deferred request streams.
     """
 
     def __init__(
@@ -291,36 +255,18 @@ class BatchedCoalescer:
         self._c_heap: list[tuple[int, int]] = []
         self._finalized = False
 
-        # Deferred MSHR accounting.
-        self._d_offers = 0
-        self._d_merged_full = 0
-        self._d_merged_partial = 0
-        self._d_allocated = 0
-        self._d_rejected = 0
-        self._d_subentries = 0
-        self._d_remainders = 0
-        self._d_completions = 0
-        self._d_occupancy: dict[int, int] = {}
-        self._d_entry_subs: dict[int, int] = {}
-        # Deferred CRQ accounting.
-        self._d_pushes = 0
-        self._d_pops = 0
-        self._d_fills = 0
-        self._d_fill_total = 0
-        self._d_depth: dict[int, int] = {}
-        self._d_fill_obs: dict[int, int] = {}
-        self._max_depth = 0
-        # Deferred DMC accounting.
-        self._d_sequences = 0
-        self._d_requests_in = 0
-        self._d_packets_out = 0
-        self._d_comparisons = 0
-        self._d_merges = 0
-        self._d_latency = 0
-        self._d_packet_lines: dict[int, int] = {}
-        self._d_merge_dist: dict[int, int] = {}
-        # Deferred coalescer accounting (non-bypass issue count).
-        self._d_issued = 0
+        # Statistics go straight into the wrapped components' stats
+        # and tallies (a fallback discards the whole stack, so a
+        # half-run's counts never reach a result).
+        self._mstats = coalescer.mshrs.stats
+        self._cstats = coalescer.crq.stats
+        self._dstats = coalescer.dmc.stats
+        self._occupancy = coalescer.mshrs._occupancy_counts
+        self._entry_subs = coalescer.mshrs._entry_subentry_counts
+        self._depth_counts = coalescer.crq._depth_counts
+        self._fill_counts = coalescer.crq._fill_counts
+        self._merge_dist = coalescer.dmc._merge_distance_counts
+        self._packet_lines = coalescer.dmc.stats.packets_by_lines
         # Deferred stream materialization: the issued/serviced record
         # objects are built at finalize from these field tuples, in
         # append order, so the hot loop pays a tuple append instead of
@@ -329,11 +275,11 @@ class BatchedCoalescer:
         self._raw_issued: list[tuple] = []
         self._raw_serviced: list[tuple] = []
 
-        # Batched HMC back end (PR 9): when the service-time closure
-        # advertises a stock device stack in deferred-metrics mode,
-        # allocations take the flat-frame timing path with batched
-        # accounting instead of walking the scalar device call tree
-        # (see ``repro.kernels.hmc``).  Imported lazily to break the
+        # Batched HMC back end: when the service-time closure
+        # advertises a pristine stock device stack, allocations take
+        # the flat-frame timing path with batched accounting instead of
+        # walking the scalar device call tree (see
+        # ``repro.kernels.hmc``).  Imported lazily to break the
         # module cycle (hmc.py subclasses CoalesceKernelError).
         from repro.kernels.hmc import attach_backend
 
@@ -357,7 +303,7 @@ class BatchedCoalescer:
         m = self._mshrs
         entries = m.entries
         serviced_append = self._raw_serviced.append
-        d_subs = self._d_entry_subs
+        d_subs = self._entry_subs
         free_heap = m._free_heap
         line_index = m._line_index
         line_size = m._line_size
@@ -407,7 +353,7 @@ class BatchedCoalescer:
             entry.subentries = []
         retired = len(due)
         m._valid_count -= retired
-        self._d_completions += retired
+        self._mstats.completions += retired
         self._retires += retired
 
     # -- CRQ drain ----------------------------------------------------------
@@ -431,11 +377,12 @@ class BatchedCoalescer:
                 and self._retires == retires
             ):
                 if not fence:
-                    self._d_offers += 1
+                    mstats = self._mstats
+                    mstats.offered += 1
                     occ = self._mshrs._valid_count
-                    d_occ = self._d_occupancy
+                    d_occ = self._occupancy
                     d_occ[occ] = d_occ.get(occ, 0) + 1
-                    self._d_rejected += 1
+                    mstats.rejected_full += 1
                 return
             self._memo = None
         self._drain_full(cycle)
@@ -465,18 +412,21 @@ class BatchedCoalescer:
             raise CoalesceKernelError("bulk-drain-memo-stale")
         if fence:
             return
-        self._d_offers += count
+        mstats = self._mstats
+        mstats.offered += count
         occ = self._mshrs._valid_count
-        d_occ = self._d_occupancy
+        d_occ = self._occupancy
         d_occ[occ] = d_occ.get(occ, 0) + count
-        self._d_rejected += count
+        mstats.rejected_full += count
 
     def _drain_full(self, cycle: int) -> None:
         slots = self._slots
         m = self._mshrs
         coalescing = self._coalescing
         adaptive = self._adaptive
-        d_occ = self._d_occupancy
+        mstats = self._mstats
+        cstats = self._cstats
+        d_occ = self._occupancy
         unchecked = self._unchecked
         popleft = slots.popleft
         find_overlaps = m._find_overlaps
@@ -519,7 +469,7 @@ class BatchedCoalescer:
                     line_size, max(16, -(-wanted // 16) * 16)
                 )
             at = cycle if cycle >= head.issue_cycle else head.issue_cycle
-            self._d_offers += 1
+            mstats.offered += 1
             occ = m._valid_count
             d_occ[occ] = d_occ.get(occ, 0) + 1
             sid = id(slot)
@@ -542,13 +492,13 @@ class BatchedCoalescer:
                     else:
                         self._unindex_slot(slot)
                     if not remainder:
-                        self._d_merged_full += 1
+                        mstats.merged_full += 1
                         popleft()
-                        self._d_pops += 1
+                        cstats.pops += 1
                     else:
-                        self._d_merged_partial += 1
+                        mstats.merged_partial += 1
                         rest = m._repack(head, remainder)
-                        self._d_remainders += len(rest)
+                        mstats.remainder_packets += len(rest)
                         enq = slot.enqueue_cycle
                         popleft()
                         new_slots = [_Slot(r, enq) for r in rest]
@@ -565,15 +515,14 @@ class BatchedCoalescer:
                 issued_append(
                     (head, at, entry.complete_cycle, entry.index, False)
                 )
-                self._d_issued += 1
                 if sid in unchecked:
                     del unchecked[sid]
                 elif coalescing:
                     self._unindex_slot(slot)
                 popleft()
-                self._d_pops += 1
+                cstats.pops += 1
                 continue
-            self._d_rejected += 1
+            mstats.rejected_full += 1
             if coalescing and sid in unchecked:
                 # The offer just ran a full overlap check; record it.
                 del unchecked[sid]
@@ -753,10 +702,11 @@ class BatchedCoalescer:
                 # like the object pass.
                 pos = {id(s): i for i, s in enumerate(slots)}
                 hits.sort(key=lambda h: pos[id(h[0])])
-            d_occ = self._d_occupancy
+            mstats = self._mstats
+            d_occ = self._occupancy
             for slot, overlaps in hits:
                 queued = slot.request
-                self._d_offers += 1
+                mstats.offered += 1
                 d_occ[valid] = d_occ.get(valid, 0) + 1
                 covered: set[int] = set()
                 for entry, common in overlaps:
@@ -769,13 +719,13 @@ class BatchedCoalescer:
                         idx = i
                         break
                 if not remainder:
-                    self._d_merged_full += 1
+                    mstats.merged_full += 1
                     del slots[idx]
-                    self._d_pops += 1
+                    self._cstats.pops += 1
                 else:
-                    self._d_merged_partial += 1
+                    mstats.merged_partial += 1
                     rest = m._repack(queued, remainder)
-                    self._d_remainders += len(rest)
+                    mstats.remainder_packets += len(rest)
                     del slots[idx]
                     enq = slot.enqueue_cycle
                     for offset, r in enumerate(rest):
@@ -797,7 +747,7 @@ class BatchedCoalescer:
             if req.line in lines:
                 subentries.append(req)
                 added += 1
-        self._d_subentries += added
+        self._mstats.subentries_added += added
 
     def _alloc_entry(self, request: CoalescedRequest, at: int):
         """Lean twin of ``DynamicMSHRFile._allocate``.
@@ -856,8 +806,9 @@ class BatchedCoalescer:
         m.alloc_gen += 1
         self._alloc_log.append(entry)
         heappush(self._c_heap, (complete, entry.index))
-        self._d_allocated += 1
-        self._d_subentries += len(constituents)
+        mstats = self._mstats
+        mstats.allocated += 1
+        mstats.subentries_added += len(constituents)
         return entry
 
     def bypass(self, request: MemoryRequest, cycle: int) -> None:
@@ -865,10 +816,9 @@ class BatchedCoalescer:
 
         Replays ``allocate_direct``'s accounting (one offer at the
         current -- necessarily zero -- occupancy, then the shared
-        allocation core, which defers the ``allocated`` outcome and
-        subentry count exactly like the object ``_allocate`` records
-        them) and keeps the rare live effects live: the bypass counter,
-        the timeline entry and the bypassed-path issue metric.
+        allocation core, which counts the ``allocated`` outcome and
+        subentries exactly like the object ``_allocate``), the bypass
+        count and the timeline entry.
         """
         packet = CoalescedRequest(
             addr=request.addr,
@@ -878,19 +828,16 @@ class BatchedCoalescer:
             issue_cycle=cycle,
         )
         self._shrink(packet)
-        self._d_offers += 1
+        self._mstats.offered += 1
         occ = self._mshrs._valid_count
-        d_occ = self._d_occupancy
+        d_occ = self._occupancy
         d_occ[occ] = d_occ.get(occ, 0) + 1
         entry = self._alloc_entry(packet, cycle)
-        coalescer = self._coalescer
-        coalescer._bypassed += 1
-        coalescer._m_bypasses.inc()
+        self._coalescer._bypassed += 1
         self._timeline.record(cycle, "coalescer", "bypass")
         self._raw_issued.append(
             (packet, cycle, entry.complete_cycle, entry.index, True)
         )
-        coalescer._m_issued_path[True].inc()
 
     def _shrink(self, packet: CoalescedRequest) -> None:
         if (
@@ -922,11 +869,12 @@ class BatchedCoalescer:
                 # A fresh packet can merge where the memoized pass
                 # found nothing: the next drain must run in full.
                 self._memo = None
-                self._d_pushes += 1
+                cstats = self._cstats
+                cstats.pushes += 1
                 depth = len(slots)
-                if depth > self._max_depth:
-                    self._max_depth = depth
-                d_depth = self._d_depth
+                if depth > cstats.max_occupancy:
+                    cstats.max_occupancy = depth
+                d_depth = self._depth_counts
                 d_depth[depth] = d_depth.get(depth, 0) + 1
                 window = self._fill_window
                 window.append(packet.issue_cycle)
@@ -934,9 +882,9 @@ class BatchedCoalescer:
                     fill_cycles = window[-1] - window[0]
                     if fill_cycles < 0:
                         fill_cycles = 0
-                    self._d_fills += 1
-                    self._d_fill_total += fill_cycles
-                    d_fill = self._d_fill_obs
+                    cstats.fills += 1
+                    cstats.total_fill_cycles += fill_cycles
+                    d_fill = self._fill_counts
                     d_fill[fill_cycles] = d_fill.get(fill_cycles, 0) + 1
                     window.clear()
                     self._timeline.record(cycle, "crq", "fill", fill_cycles)
@@ -976,7 +924,8 @@ class BatchedCoalescer:
         slots = self._slots
         depth_limit = self._depth
         unchecked = self._unchecked
-        d_depth = self._d_depth
+        cstats = self._cstats
+        d_depth = self._depth_counts
         window = self._fill_window
         for packet in packets:
             if len(slots) >= depth_limit:
@@ -986,19 +935,19 @@ class BatchedCoalescer:
             slots.append(slot)
             unchecked[id(slot)] = slot
             self._memo = None
-            self._d_pushes += 1
+            cstats.pushes += 1
             depth = len(slots)
-            if depth > self._max_depth:
-                self._max_depth = depth
+            if depth > cstats.max_occupancy:
+                cstats.max_occupancy = depth
             d_depth[depth] = d_depth.get(depth, 0) + 1
             window.append(packet.issue_cycle)
             if len(window) >= depth_limit:
                 fill_cycles = window[-1] - window[0]
                 if fill_cycles < 0:
                     fill_cycles = 0
-                self._d_fills += 1
-                self._d_fill_total += fill_cycles
-                d_fill = self._d_fill_obs
+                cstats.fills += 1
+                cstats.total_fill_cycles += fill_cycles
+                d_fill = self._fill_counts
                 d_fill[fill_cycles] = d_fill.get(fill_cycles, 0) + 1
                 window.clear()
                 self._timeline.record(done_cycle, "crq", "fill", fill_cycles)
@@ -1036,15 +985,16 @@ class BatchedCoalescer:
         cc = self._compare_cycles
         max_lines = self._max_lines
         line_size = self._line_size
-        self._d_sequences += 1
-        self._d_requests_in += len(requests)
+        dstats = self._dstats
+        dstats.sequences += 1
+        dstats.requests_in += len(requests)
         latency = 0
         comparisons = 0
         merges = 0
         packets: list[CoalescedRequest] = []
         packets_append = packets.append
-        d_md = self._d_merge_dist
-        d_pl = self._d_packet_lines
+        d_md = self._merge_dist
+        d_pl = self._packet_lines
         for start, end in spans:
             base_req = requests[start]
             base_line = base_req.line
@@ -1088,16 +1038,16 @@ class BatchedCoalescer:
                 )
                 d_pl[chunk_num] = d_pl.get(chunk_num, 0) + 1
                 pos = cursor
-        self._d_comparisons += comparisons
-        self._d_merges += merges
-        self._d_packets_out += len(packets)
-        self._d_latency += latency
+        dstats.comparisons += comparisons
+        dstats.merges += merges
+        dstats.packets_out += len(packets)
+        dstats.total_latency_cycles += latency
         return packets, start_cycle + latency
 
     # -- end of trace --------------------------------------------------------
 
     def finish(self, cycle: int) -> None:
-        """Lean twin of ``MemoryCoalescer.flush`` + deferred apply.
+        """Lean twin of ``MemoryCoalescer.flush``, then :meth:`finalize`.
 
         The vector engine never uses the pipeline's front buffer, so
         the object path's ``pipeline.drain`` here is a guaranteed
@@ -1126,10 +1076,8 @@ class BatchedCoalescer:
         self.finalize()
 
     def finalize(self) -> None:
-        """Apply every deferred batch to the live stats and metrics.
-
-        Idempotent; zero-count batches are skipped so no metric sample
-        is materialized that the object run would not have created.
+        """Materialize the deferred request streams and finish the HMC
+        back end's accounting.  Idempotent.
         """
         if self._finalized:
             return
@@ -1144,38 +1092,5 @@ class BatchedCoalescer:
         for req, cc in self._raw_serviced:
             serviced.append(ServicedRequest(req, cc))
         self._raw_serviced.clear()
-        self._mshrs.record_offers_bulk(self._d_offers, self._d_occupancy)
-        self._mshrs.record_outcomes_bulk(
-            {
-                "merged_full": self._d_merged_full,
-                "merged_partial": self._d_merged_partial,
-                "allocated": self._d_allocated,
-                "rejected_full": self._d_rejected,
-            }
-        )
-        self._mshrs.record_merges_bulk(self._d_subentries, self._d_remainders)
-        self._mshrs.record_completions_bulk(
-            self._d_completions, self._d_entry_subs
-        )
-        self._crq.record_activity_bulk(
-            pushes=self._d_pushes,
-            pops=self._d_pops,
-            depth_counts=self._d_depth,
-            fills=self._d_fills,
-            fill_total=self._d_fill_total,
-            fill_counts=self._d_fill_obs,
-            max_depth=self._max_depth,
-        )
-        self._dmc.record_activity_bulk(
-            sequences=self._d_sequences,
-            requests_in=self._d_requests_in,
-            packets_out=self._d_packets_out,
-            comparisons=self._d_comparisons,
-            merges=self._d_merges,
-            latency=self._d_latency,
-            packet_lines=self._d_packet_lines,
-            merge_distance_counts=self._d_merge_dist,
-        )
-        self._coalescer.record_issued_bulk(self._d_issued)
         if self._hmc is not None:
             self._hmc.finalize()

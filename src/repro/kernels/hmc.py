@@ -5,8 +5,7 @@ of the vector replay coalesce phase was the scalar HMC timing walk:
 every issued packet crossed ``service_time_for`` ->
 ``HMCDevice._service_core`` -> ``HMCLink.transfer`` (inlined) ->
 ``Vault.service``, four Python frames deep, re-deriving per-size FLIT
-schedules from dict caches and double-booking every statistic (live
-``stats`` dataclass plus deferred ``_a_*`` accumulator) on each call.
+schedules from dict caches and updating every statistic on each call.
 
 This back end replaces that walk with a compiled closure
 (:func:`_compile_service`): one flat frame whose constants and timing
@@ -18,9 +17,10 @@ request/byte/FLIT counters, busy and queue-wait folds, per-vault
 splits, the size histogram -- is reconstructed **in batch** at
 :meth:`BatchedHMCBackend.finalize`: NumPy columns decode the packed
 codes, ``np.cumsum`` replays each float fold sequentially (the exact
-IEEE left fold the object engine performs, C-speed), and the deferred
-``defer_metrics()``/``apply_deferred_metrics()`` machinery flushes the
-combined batch into the registry.
+IEEE left fold the object engine performs, C-speed), and the results
+land in the device's ``stats`` and per-vault queue waits -- where the
+object engine keeps them -- for the driver's one end-of-run publish
+(``HMCDevice.apply_deferred_metrics``).
 
 Why per-request batching cannot go wider than one call: completion
 times feed *back* into the replay (MSHR retirement unblocks
@@ -45,18 +45,17 @@ Contract (same as PR 6's batched coalescing kernel):
   live timing state injected.  Any mismatch raises
   :class:`HMCKernelError`, which the replay driver treats exactly like
   a coalescing-kernel miss: whole-run object-engine fallback, counted
-  in :func:`kernel_counters`.
+  once, in this module's :func:`kernel_counters`.
 * **Engine choice is not configuration.**  Nothing here enters
   ``PlatformConfig``, config digests, or trace keys; the back end
   advertises itself only through execution-side closure attributes
   (``service_time.hmc_device``) set by the replay driver.
-* **Metrics defer through the existing machinery.**  The backend
-  requires the device stack to be in ``defer_metrics()`` mode *and*
-  pristine (zero traffic, zero timing state -- the replay driver
-  always builds a fresh stack), so every statistic fold it
-  reconstructs is zero-seeded and the single-accumulator batch is
-  bit-exact for both the live ``stats`` fields and their deferred
-  ``_a_*`` twins.
+* **Statistics are the object engine's.**  The backend requires a
+  pristine device stack (zero traffic, zero timing state -- the replay
+  driver always builds a fresh stack), so every statistic fold it
+  reconstructs is zero-seeded and bit-exact against the ``stats``
+  fields the object engine would have built up, and the registry
+  series published from them match too.
 
 Per-config constant tables are cached via :func:`hmc_constant_tables`
 and stashed in the per-process replay cache so grouped sweep cells
@@ -77,6 +76,7 @@ from repro.hmc.link import HMCLink
 from repro.hmc.packet import REQUEST_CONTROL_BYTES, packet_flits
 from repro.hmc.timing import HMCTimingConfig
 from repro.hmc.vault import Vault
+from repro.kernels import KernelCounters
 from repro.kernels.coalesce import CoalesceKernelError
 
 #: Verify one in this many packets against the shadow device (plus the
@@ -86,55 +86,23 @@ _VERIFY_STRIDE = 97
 _STORE = RequestType.STORE
 
 
+#: This kernel's engagement/fallback counts (see
+#: :class:`~repro.kernels.KernelCounters`).
+COUNTERS = KernelCounters()
+kernel_counters = COUNTERS.snapshot
+reset_kernel_counters = COUNTERS.reset
+
+
 class HMCKernelError(CoalesceKernelError):
     """A batched HMC timing prediction failed verification.
 
     Subclasses :class:`CoalesceKernelError` so the replay driver's
     existing catch/fallback path handles it unchanged: rebuild the
-    stack, re-run the object engine.
+    stack, re-run the object engine.  The fallback counts in this
+    kernel's :data:`COUNTERS` only.
     """
 
-
-# -- engagement / fallback telemetry ----------------------------------------
-#
-# Module-level, mirroring repro.kernels.coalesce: engine metadata never
-# enters the digest-visible registry.
-
-_COUNTERS: dict = {
-    "engaged": 0,
-    "delegated": 0,
-    "fallbacks": 0,
-    "fallback_reasons": {},
-}
-
-
-def kernel_counters() -> dict:
-    """Snapshot of the engagement/fallback counters (copied)."""
-    out = dict(_COUNTERS)
-    out["fallback_reasons"] = dict(_COUNTERS["fallback_reasons"])
-    return out
-
-
-def reset_kernel_counters() -> None:
-    """Zero the counters (test isolation)."""
-    _COUNTERS["engaged"] = 0
-    _COUNTERS["delegated"] = 0
-    _COUNTERS["fallbacks"] = 0
-    _COUNTERS["fallback_reasons"] = {}
-
-
-def record_engaged() -> None:
-    _COUNTERS["engaged"] += 1
-
-
-def record_delegated() -> None:
-    _COUNTERS["delegated"] += 1
-
-
-def record_fallback(reason: str) -> None:
-    _COUNTERS["fallbacks"] += 1
-    reasons = _COUNTERS["fallback_reasons"]
-    reasons[reason] = reasons.get(reason, 0) + 1
+    counters = COUNTERS
 
 
 _ENABLED = True
@@ -252,11 +220,9 @@ def hmc_constant_tables(config: HMCTimingConfig, cycle_ns: float) -> HMCTables:
 def _is_pristine(device: HMCDevice) -> bool:
     """Whether the device stack carries no traffic or timing state.
 
-    The backend's zero-seeded accounting reconstruction (and the
-    single accumulator it shares between each live ``stats`` field and
-    its deferred ``_a_*`` twin) is exact only from a fresh stack --
-    which is what the replay driver always builds.  Anything warm
-    delegates to the object engine.
+    The backend's zero-seeded accounting reconstruction is exact only
+    from a fresh stack -- which is what the replay driver always
+    builds.  Anything warm delegates to the object engine.
     """
     s = device.stats
     link = device.link
@@ -268,7 +234,6 @@ def _is_pristine(device: HMCDevice) -> bool:
         or link.free_at_ns != 0.0
         or link.stats.transactions
         or link.stats.busy_ns != 0.0
-        or link._a_busy != 0.0
     ):
         return False
     for vault in device.vaults:
@@ -278,8 +243,6 @@ def _is_pristine(device: HMCDevice) -> bool:
             or vs.requests
             or vs.busy_ns != 0.0
             or vs.queued_ns != 0.0
-            or vault._a_busy != 0.0
-            or vault._a_waits
         ):
             return False
         for bank in vault.banks:
@@ -295,11 +258,11 @@ def attach_backend(coalescer, replay_cache: dict | None = None):
     ``_service_time`` closure advertises the device it wraps (see
     ``repro.sim.driver._make_service_time``).  Returns ``None`` --
     counting a delegation -- when the stack is not the stock shape the
-    kernel models, the device is not a pristine deferred-metrics
-    stack, or the back end is pinned off.
+    kernel models, the device is not pristine, or the back end is
+    pinned off.
     """
     if not _ENABLED:
-        record_delegated()
+        COUNTERS.delegated += 1
         return None
     fn = getattr(coalescer, "_service_time", None)
     device = getattr(fn, "hmc_device", None)
@@ -311,13 +274,12 @@ def attach_backend(coalescer, replay_cache: dict | None = None):
         or type(device.link) is not HMCLink
         or type(device.config) is not HMCTimingConfig
         or not all(type(v) is Vault for v in device.vaults)
-        or not device._deferred
         # Packed-code envelope: li and vault must fit their fields.
         or device.config.block_bytes > 32768
         or device.config.num_vaults > 2048
         or not _is_pristine(device)
     ):
-        record_delegated()
+        COUNTERS.delegated += 1
         return None
     key = ("hmc_tables", device.config, cycle_ns)
     tables = None
@@ -327,7 +289,7 @@ def attach_backend(coalescer, replay_cache: dict | None = None):
         tables = hmc_constant_tables(device.config, cycle_ns)
         if replay_cache is not None:
             replay_cache[key] = tables
-    record_engaged()
+    COUNTERS.engaged += 1
     return BatchedHMCBackend(device, cycle_ns, tables)
 
 
@@ -405,7 +367,6 @@ def _compile_service(
         ):
             # The object engine raises ValueError for these; fall back
             # so it reports the identical failure.
-            record_fallback("hmc-request-envelope")
             raise HMCKernelError("hmc-request-envelope")
         requested_sum += requested
 
@@ -465,7 +426,6 @@ def _compile_service(
         if expect is not None and (
             expect[0] != complete or expect[1] != bool(hit) or expect[2] != v
         ):
-            record_fallback("hmc-verify-miss")
             raise HMCKernelError("hmc-verify-miss")
 
         if complete > last_complete:
@@ -704,13 +664,12 @@ class BatchedHMCBackend:
         """Reconstruct and apply all batch accounting to the device.
 
         Runs once, at the coalescing kernel's own finalize; the
-        driver's ``apply_deferred_metrics()`` then flushes the
-        combined deferred batch into the registry exactly as the
-        object engine's would.  Counter-style totals decode from the
-        packed code column; every float statistic is a sequential
-        left fold replayed by ``np.cumsum`` (the same IEEE additions
-        in the same order, zero-seeded like the pristine stack it
-        attached to).
+        driver's ``apply_deferred_metrics()`` then publishes the
+        device's series exactly as after an object-engine run.
+        Counter-style totals decode from the packed code column; every
+        float statistic is a sequential left fold replayed by
+        ``np.cumsum`` (the same IEEE additions in the same order,
+        zero-seeded like the pristine stack it attached to).
         """
         if self._finalized:
             return
@@ -746,7 +705,6 @@ class BatchedHMCBackend:
         reads = n - writes
         misses = n - hits
         control = n * REQUEST_CONTROL_BYTES
-        payloads = payload_col.tolist() if n else []
 
         s = device.stats
         s.requests += n
@@ -765,16 +723,6 @@ class BatchedHMCBackend:
             for size, count in zip(sizes.tolist(), counts.tolist()):
                 hist[size] = hist.get(size, 0) + count
 
-        if device._deferred:
-            device._a_reads += reads
-            device._a_writes += writes
-            device._a_payload += payload_sum
-            device._a_requested += requested_sum
-            device._a_control += control
-            device._a_hits += hits
-            device._a_misses += misses
-            device._a_packets.extend(payloads)
-
         link = device.link
         ls = link.stats
         ls.transactions += n
@@ -782,12 +730,6 @@ class BatchedHMCBackend:
         ls.payload_bytes += payload_sum
         ls.control_bytes += control
         ls.busy_ns = link_busy
-        if link._deferred:
-            link._a_transactions += n
-            link._a_flits += flits_sum
-            link._a_payload += payload_sum
-            link._a_control += control
-            link._a_busy = link_busy
 
         for v, vault in enumerate(device.vaults):
             if n:
@@ -811,11 +753,7 @@ class BatchedHMCBackend:
             vs.row_misses += v_req - v_hits
             vs.busy_ns = v_busy
             vs.queued_ns = v_queued
-            if vault._deferred:
-                vault._a_requests += v_req
-                vault._a_conflicts += v_req - v_hits
-                vault._a_busy = v_busy
-                vault._a_waits.extend(v_waits)
+            vault._waits.extend(v_waits)
 
         bpv = t.banks_per_vault
         for g, count in self._acts.items():

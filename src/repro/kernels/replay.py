@@ -48,10 +48,9 @@ from repro.core.address import INVALID_KEY, TYPE_BIT
 from repro.core.coalescer import MemoryCoalescer
 from repro.core.request import MemoryRequest, RequestType
 from repro.kernels.coalesce import (
+    COUNTERS,
     BatchedCoalescer,
     plan_merge_spans,
-    record_delegated,
-    record_engaged,
     supports_batched_coalesce,
 )
 from repro.kernels.sortnet import VectorSortNetwork
@@ -90,7 +89,7 @@ def vector_replay(
     config = coalescer.config
     if not config.enable_dmc:
         # No sorting pipeline in the loop -- nothing to batch.
-        record_delegated()
+        COUNTERS.delegated += 1
         return replay_trace(buffer, coalescer=coalescer, profiler=profiler)
 
     clock = time.perf_counter
@@ -144,12 +143,12 @@ def vector_replay(
     emit_sorted = pipeline.emit_sorted
 
     # Second-phase coalescing: the batched kernel replays DMC/CRQ/MSHR
-    # effects with deferred accounting and precomputed merge plans when
+    # effects with inline accounting and precomputed merge plans when
     # the component stack is the stock one; otherwise every call goes
     # through the object machinery unchanged.
     if supports_batched_coalesce(coalescer):
         kernel = BatchedCoalescer(coalescer, replay_cache=cache)
-        record_engaged()
+        COUNTERS.engaged += 1
         complete = kernel.complete_up_to
         drain_crq = kernel.drain
         drain_bulk = kernel.drain_hits_bulk
@@ -158,7 +157,7 @@ def vector_replay(
         kheap = kernel._c_heap
     else:
         kernel = None
-        record_delegated()
+        COUNTERS.delegated += 1
         complete = coalescer._complete_up_to
         drain_crq = coalescer._drain_crq
         handle = coalescer._handle_sequence
@@ -445,16 +444,13 @@ def vector_replay(
     # flush() re-runs _complete_up_to (now a no-op) and drains an
     # already-empty pipeline buffer, then retires CRQ/MSHR state --
     # the exact end-of-trace sequence of the object path.  The kernel's
-    # finish() replays that sequence lean and applies the deferred
-    # accounting.
+    # finish() replays that sequence lean.
     if kernel is not None:
         kernel.finish(final)
     else:
         coalescer.flush(final)
 
     coalescer._llc_requests += llc_count
-    if llc_count:
-        coalescer._m_llc_requests.inc(llc_count)
 
     if profiler is not None:
         profiler.add("flush", clock() - mark)

@@ -31,9 +31,9 @@ from repro.obs.timeline import StageTimeline
 #: Canonical label-set key: sorted (name, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
 
-#: The (only) key of an unlabelled sample.  The vast majority of
-#: per-request increments carry no labels, so the write paths bypass
-#: :func:`label_key` entirely for this case.
+#: The (only) key of an unlabelled sample.  Most samples carry no
+#: labels, so the write paths bypass :func:`label_key` entirely for
+#: this case.
 _EMPTY_KEY: LabelKey = ()
 
 
@@ -241,9 +241,8 @@ class Histogram(Metric):
         Equivalent to calling :meth:`observe` ``count`` times (buckets,
         sum, count and min/max are all multiset functions, so repeats
         collapse to one bucket lookup).  ``count <= 0`` records nothing
-        and materializes no series -- deferred batch appliers rely on
-        that to keep lazily-created samples identical to an unbatched
-        run.
+        and materializes no series -- the stages' publish methods rely
+        on that to create exactly the samples a per-event run would.
         """
         if count <= 0:
             return
@@ -255,6 +254,17 @@ class Histogram(Metric):
             series.min = value
         if series.max is None or value > series.max:
             series.max = value
+
+    def observe_counts(self, counts: dict[float, int], **labels: str) -> None:
+        """Record a ``{value: count}`` tally, one :meth:`observe_bulk`
+        per value in sorted value order.
+
+        For integer values this is bit-exact against observing each
+        value one at a time: every partial sum is an integer below
+        2**53, so the float sum does not depend on the order.
+        """
+        for value in sorted(counts):
+            self.observe_bulk(value, counts[value], **labels)
 
     def bind(self, **labels: str) -> "_BoundHistogram":
         """A pre-resolved handle for one label set (see hot loops)."""
@@ -483,12 +493,13 @@ def _flat_name(name: str, labels: dict[str, str]) -> str:
 
 # -- no-op sink ---------------------------------------------------------------
 #
-# Every simulated component dual-writes its legacy *Stats dataclass and
-# its registry metrics.  When a component is constructed standalone
-# (unit tests, microbenchmarks, library use without observability) no
-# registry is attached; instead of accumulating samples nobody will
-# read, the component is handed the shared :data:`NULL_REGISTRY`, whose
-# metric handles discard writes in a single call frame.
+# Every simulated component counts its events in its own *Stats
+# dataclass and tallies, and writes its registry series once, from its
+# publish method at the end of a run.  A component constructed
+# standalone (unit tests, microbenchmarks, library use without
+# observability) is handed the shared :data:`NULL_REGISTRY` instead: its
+# timeline drops events as they happen, and a publish into it writes
+# into throwaway metrics that are never registered.
 
 
 class _NullTimeline(StageTimeline):
@@ -498,97 +509,22 @@ class _NullTimeline(StageTimeline):
         return None
 
 
-class _NullBound:
-    """Bound handle whose writes are discarded (all metric kinds)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def observe_bulk(self, value: float, count: int) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def set_max(self, value: float) -> None:
-        return None
-
-
-_NULL_BOUND = _NullBound()
-
-
-class _NullCounter(Counter):
-    """Counter whose writes are discarded."""
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:  # noqa: D102
-        return None
-
-    def bind(self, **labels: str):  # noqa: D102
-        return _NULL_BOUND
-
-
-class _NullGauge(Gauge):
-    """Gauge whose writes are discarded."""
-
-    def set(self, value: float, **labels: str) -> None:  # noqa: D102
-        return None
-
-    def set_max(self, value: float, **labels: str) -> None:  # noqa: D102
-        return None
-
-    def bind(self, **labels: str):  # noqa: D102
-        return _NULL_BOUND
-
-
-class _NullHistogram(Histogram):
-    """Histogram whose observations are discarded."""
-
-    def observe(self, value: float, **labels: str) -> None:  # noqa: D102
-        return None
-
-    def observe_bulk(self, value: float, count: int, **labels: str) -> None:  # noqa: D102
-        return None
-
-    def bind(self, **labels: str):  # noqa: D102
-        return _NULL_BOUND
-
-
 class NullMetricsRegistry(MetricsRegistry):
     """A registry that registers nothing and records nothing.
 
-    ``counter``/``gauge``/``histogram`` hand back shared no-op metric
-    objects so component hot loops pay one no-op method call instead of
-    a dict update per event.  The registry itself always stays empty;
-    merging into it is a no-op.  Use the module-level
-    :data:`NULL_REGISTRY` singleton instead of constructing new ones.
+    ``counter``/``gauge``/``histogram`` hand back a fresh, unregistered
+    metric on every call, so writes land nowhere the registry can see.
+    The registry itself always stays empty; merging into it is a no-op.
+    Use the module-level :data:`NULL_REGISTRY` singleton instead of
+    constructing new ones.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.timeline = _NullTimeline(max_events=0)
-        self._null_counter = _NullCounter("noop")
-        self._null_gauge = _NullGauge("noop")
-        self._null_histogram = _NullHistogram("noop", buckets=(1.0,))
 
-    def counter(self, name: str, help: str = "", unit: str = "") -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str, help: str = "", unit: str = "") -> Gauge:
-        return self._null_gauge
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Iterable[float] | None = None,
-        help: str = "",
-        unit: str = "",
-    ) -> Histogram:
-        return self._null_histogram
+    def _register(self, cls, name: str, help: str, unit: str, **kwargs) -> Metric:
+        return cls(name, help=help, unit=unit, **kwargs)
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         return self

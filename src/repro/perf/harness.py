@@ -145,7 +145,7 @@ def _hmc_portion_speedup(
     best-of-``repeats`` through (a) the object engine's
     ``service_time`` closure and (b) a fresh
     :class:`~repro.kernels.hmc.BatchedHMCBackend`, each on a fresh
-    deferred device.  The ratio is the residual-HMC-portion speedup --
+    device.  The ratio is the residual-HMC-portion speedup --
     the direct measure of the call tree the kernel replaces, free of
     the engine-invariant replay machinery that dilutes wall ratios.
     Returns ``None`` when the back end never engaged (nothing to
@@ -189,7 +189,6 @@ def _hmc_portion_speedup(
 
     def object_pass() -> float:
         device = HMCDevice(config)
-        device.defer_metrics()
         service_time = _make_service_time(device, cycle_ns)
         start = time.perf_counter()
         for request, at in stream:
@@ -198,7 +197,6 @@ def _hmc_portion_speedup(
 
     def backend_pass() -> float:
         device = HMCDevice(config)
-        device.defer_metrics()
         backend = hk.BatchedHMCBackend(
             device, cycle_ns, hk.hmc_constant_tables(config, cycle_ns)
         )

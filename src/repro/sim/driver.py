@@ -26,7 +26,6 @@ import hashlib
 import json
 import logging
 import time
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -43,7 +42,7 @@ from repro.hmc.packet import REQUEST_CONTROL_BYTES
 from repro.hmc.timing import HMCTimingConfig
 from repro.kernels import resolve_engine
 from repro.kernels.capture import batch_capture, supports_vector_capture
-from repro.kernels.coalesce import CoalesceKernelError, record_fallback
+from repro.kernels.coalesce import CoalesceKernelError
 from repro.kernels.replay import vector_replay
 from repro.obs import MetricsRegistry, PhaseProfiler
 from repro.trace import (
@@ -352,29 +351,12 @@ def _pipeline_fill_cycles(cfg: CoalescerConfig) -> int:
     return PipelinedSortingNetwork(cfg).full_latency_cycles
 
 
-#: Functions that already emitted their positional-argument warning
-#: (each deprecation warns once per process, not once per call site).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_positional(func: str, params: str) -> None:
-    if func in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(func)
-    warnings.warn(
-        f"deprecated positional {params} argument(s) to {func}(); "
-        f"pass {params} by keyword (see repro.api for the stable surface)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def run_trace_through_coalescer(
     records: Iterable[TraceRecord],
-    *_deprecated_positional,
-    coalescer: MemoryCoalescer | None = None,
+    *,
+    coalescer: MemoryCoalescer,
     device: HMCDevice | None = None,
-    cycle_ns: float | None = None,
+    cycle_ns: float,
     profiler: PhaseProfiler | None = None,
 ) -> int:
     """Feed an LLC trace through a coalescer backed by an HMC device.
@@ -385,31 +367,13 @@ def run_trace_through_coalescer(
 
     ``coalescer``, ``device`` and ``cycle_ns`` are keyword-only;
     ``device`` is accepted for symmetry with the stack diagram (the
-    coalescer's service-time hook already closes over it).  The old
-    positional ``(records, coalescer, device)`` shape still works but
-    raises a one-time :class:`DeprecationWarning`.
+    coalescer's service-time hook already closes over it).
 
     With a ``profiler``, the wall-clock cost of producing each record
     (workload generation + cache filtering) is charged to the
     ``trace`` phase and each coalescer push (sorter + DMC + CRQ +
     MSHRs + HMC service) to the ``coalesce`` phase.
     """
-    if _deprecated_positional:
-        if len(_deprecated_positional) > 2 or coalescer is not None:
-            raise TypeError(
-                "run_trace_through_coalescer() takes at most records, "
-                "coalescer and device positionally"
-            )
-        _warn_positional("run_trace_through_coalescer", "coalescer/device")
-        coalescer = _deprecated_positional[0]
-        if len(_deprecated_positional) == 2:
-            if device is not None:
-                raise TypeError("device given positionally and by keyword")
-            device = _deprecated_positional[1]
-    if coalescer is None:
-        raise TypeError("run_trace_through_coalescer() requires coalescer=")
-    if cycle_ns is None:
-        raise TypeError("run_trace_through_coalescer() requires cycle_ns=")
     last_cycle = 0
     push = coalescer.push
     if profiler is not None:
@@ -501,7 +465,6 @@ def _replay_benchmark(
 
     def build_stack():
         registry = MetricsRegistry()
-        publish_replay_tracer_metrics(registry, buffer)
         device = HMCDevice(platform.hmc, registry)
         coal = MemoryCoalescer(
             platform.coalescer,
@@ -513,19 +476,17 @@ def _replay_benchmark(
     registry, device, coal = build_stack()
     replay = vector_replay if engine == "vector" else replay_trace
     try:
-        if engine == "vector":
-            # Batch the device stack's registry writes out of the hot
-            # loop; applied (exactly once) before any registry read.
-            device.defer_metrics()
         last_cycle = replay(buffer, coalescer=coal, profiler=profiler)
-        mark = time.perf_counter()
-        device.apply_deferred_metrics()
-        if profiler is not None:
-            profiler.add("flush", time.perf_counter() - mark)
-    except CoalesceKernelError as exc:
-        record_fallback(exc.reason)
+    except CoalesceKernelError:
+        # The raising kernel has counted its fallback.
         registry, device, coal = build_stack()
         last_cycle = replay_trace(buffer, coalescer=coal, profiler=profiler)
+    mark = time.perf_counter()
+    publish_replay_tracer_metrics(registry, buffer)
+    coal.publish_metrics()
+    device.apply_deferred_metrics()
+    if profiler is not None:
+        profiler.add("flush", time.perf_counter() - mark)
     intensity = (
         platform.compute_cycles_per_access
         if platform.compute_cycles_per_access is not None
@@ -548,7 +509,7 @@ def _replay_benchmark(
 
 def run_benchmark(
     benchmark: str | Workload,
-    *_deprecated_positional,
+    *,
     platform: PlatformConfig | None = None,
     coalescer: CoalescerConfig | None = None,
     profiler: PhaseProfiler | None = None,
@@ -560,10 +521,8 @@ def run_benchmark(
     All configuration is keyword-only: ``platform`` selects the full
     platform, and ``coalescer`` (if given) overrides its coalescer
     config -- ``run_benchmark("FT", coalescer=UNCOALESCED_CONFIG)`` is
-    the baseline idiom.  The old positional ``(benchmark, platform)``
-    shape still works but raises a one-time
-    :class:`DeprecationWarning`; prefer :class:`repro.api.Session` for
-    cached, sweep-aware runs.
+    the baseline idiom.  Prefer :class:`repro.api.Session` for cached,
+    sweep-aware runs.
 
     With a ``trace_store``, the front end (workload generation plus
     cache filtering) runs at most once per (workload, geometry,
@@ -583,14 +542,6 @@ def run_benchmark(
     the vector capture cannot model exactly (LLC prefetching) fall
     back to the object path automatically.
     """
-    if _deprecated_positional:
-        if len(_deprecated_positional) > 1 or platform is not None:
-            raise TypeError(
-                "run_benchmark() takes at most benchmark and platform "
-                "positionally"
-            )
-        _warn_positional("run_benchmark", "platform")
-        platform = _deprecated_positional[0]
     platform = platform or PlatformConfig()
     if coalescer is not None:
         platform = platform.with_coalescer(coalescer)
@@ -672,6 +623,9 @@ def run_benchmark(
         cycle_ns=platform.cycle_ns,
         profiler=profiler,
     )
+    tracer.publish_metrics()
+    coal.publish_metrics()
+    device.apply_deferred_metrics()
 
     intensity = (
         platform.compute_cycles_per_access
@@ -714,7 +668,7 @@ def runtime_improvement(
 
 def run_baseline_and_coalesced(
     benchmark: str,
-    *_deprecated_positional,
+    *,
     platform: PlatformConfig | None = None,
     trace_store: TraceStore | None = None,
     profiler: PhaseProfiler | None = None,
@@ -730,14 +684,6 @@ def run_baseline_and_coalesced(
     ``profiler`` accumulates phase timings across both runs; ``engine``
     selects the execution engine for both.
     """
-    if _deprecated_positional:
-        if len(_deprecated_positional) > 1 or platform is not None:
-            raise TypeError(
-                "run_baseline_and_coalesced() takes at most benchmark and "
-                "platform positionally"
-            )
-        _warn_positional("run_baseline_and_coalesced", "platform")
-        platform = _deprecated_positional[0]
     platform = platform or PlatformConfig()
     if trace_store is None:
         trace_store = TraceStore(max_memory_entries=1)

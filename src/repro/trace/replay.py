@@ -11,18 +11,16 @@ Two invariants keep replay digest-identical to the live path:
   coalescer retains pushed requests in coalesced constituents and MSHR
   subentries, so rows must not share objects across pushes or runs);
 * :func:`publish_replay_tracer_metrics` reproduces the tracer's
-  registry counters from the buffer's aggregate metadata, so the
-  metrics flat-dict -- part of the result digest -- matches a live run
-  counter for counter.  Integer totals summed in one ``inc`` equal the
-  live path's per-event increments exactly (float addition of integers
-  below 2**53 is associative).
+  registry counters from the buffer's aggregate metadata through the
+  live tracer's own publisher, so the metrics flat-dict -- part of the
+  result digest -- matches a live run counter for counter.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.cache.tracer import register_tracer_metrics
+from repro.cache.tracer import publish_tracer_metrics
 from repro.core.coalescer import MemoryCoalescer
 from repro.core.request import MemoryRequest, RequestType
 from repro.obs import MetricsRegistry, PhaseProfiler
@@ -110,17 +108,15 @@ def publish_replay_tracer_metrics(
 ) -> None:
     """Recreate the tracer's registry counters from a stored capture.
 
-    Uses the same counter names/help strings the live tracer registers
-    (via :func:`repro.cache.tracer.register_tracer_metrics`) and only
-    materializes kind labels the capture actually saw, so the metrics
-    flat-dict is indistinguishable from the live run's.
+    Writes through :func:`repro.cache.tracer.publish_tracer_metrics`,
+    the live tracer's own publisher, fed from the buffer's aggregate
+    metadata, so the metrics flat-dict is indistinguishable from the
+    live run's.
     """
-    m_cpu, m_llc, m_bytes = register_tracer_metrics(registry)
     meta = buffer.meta
-    if meta.get("cpu_accesses"):
-        m_cpu.inc(meta["cpu_accesses"])
-    if meta.get("requested_bytes"):
-        m_bytes.inc(meta["requested_bytes"])
-    for kind, count in (meta.get("kinds") or {}).items():
-        if count:
-            m_llc.inc(count, kind=kind)
+    publish_tracer_metrics(
+        registry,
+        cpu_accesses=meta.get("cpu_accesses") or 0,
+        requested_bytes=meta.get("requested_bytes") or 0,
+        kinds=meta.get("kinds") or {},
+    )

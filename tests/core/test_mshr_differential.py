@@ -180,6 +180,8 @@ class TestDifferential:
                     ]
             assert snapshot(fast) == snapshot(ref)
 
+        fast.publish_metrics()
+        ref.publish_metrics()
         assert reg_fast.as_flat_dict() == reg_ref.as_flat_dict()
 
     def test_duplicate_coverage_from_bypass(self):

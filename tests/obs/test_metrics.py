@@ -100,6 +100,26 @@ class TestHistogram:
     def test_empty_bounds_fall_back_to_defaults(self):
         assert Histogram("lat", buckets=()).buckets == Histogram.DEFAULT_BUCKETS
 
+    def test_observe_counts_matches_one_at_a_time(self):
+        # The stages publish integer histograms from value -> count
+        # tallies; the result must equal per-event observation exactly,
+        # zero counts included (they create no series).
+        values = [7, 0, 3, 7, 300, 3, 3, 12]
+        one = Histogram("lat", buckets=(1, 4, 16))
+        for v in values:
+            one.observe(v, stage="x")
+        tally = {0: 0, 99: 0}
+        for v in values:
+            tally[v] = tally.get(v, 0) + 1
+        bulk = Histogram("lat", buckets=(1, 4, 16))
+        bulk.observe_counts(tally, stage="x")
+        bulk.observe_counts({5: 0}, stage="y")
+        [(labels, a)], [(_, b)] = list(one.samples()), list(bulk.samples())
+        assert labels == {"stage": "x"}
+        assert (a.counts, a.sum, a.count, a.min, a.max) == (
+            b.counts, b.sum, b.count, b.min, b.max
+        )
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instance(self):
@@ -302,8 +322,8 @@ class TestBoundHandles:
     def test_null_registry_bind_is_noop(self):
         from repro.obs import NULL_REGISTRY
 
-        bound = NULL_REGISTRY.counter("c_total").bind(op="x")
-        bound.inc()
-        bound.observe(1.0)
-        bound.set(2.0)
-        bound.set_max(3.0)
+        NULL_REGISTRY.counter("c_total").bind(op="x").inc()
+        NULL_REGISTRY.gauge("g").bind().set_max(3.0)
+        NULL_REGISTRY.histogram("h").bind(stage="x").observe(1.0)
+        assert len(NULL_REGISTRY) == 0
+        assert NULL_REGISTRY.as_flat_dict() == {}

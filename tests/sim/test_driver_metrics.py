@@ -1,10 +1,10 @@
 """Driver-level observability tests.
 
-The components dual-write every event into their legacy ``*Stats``
-dataclasses and into the shared metrics registry, at independent call
-sites.  These tests run one real benchmark and assert the two
-accountings agree, which catches an instrumentation site drifting from
-the stats it mirrors.
+Each stage counts its events once, in its ``*Stats`` dataclass (plus
+small tallies), and its publish method writes the registry series from
+those counts at the end of the run.  These tests run one real
+benchmark and check every series against its ``*Stats`` field, which
+catches a publish method that drifts from the stats it exports.
 """
 
 import json

@@ -1,7 +1,5 @@
 """Tests for the stable public surface (repro.api.Session)."""
 
-import warnings
-
 import pytest
 
 import repro
@@ -81,62 +79,13 @@ class TestSession:
 
 
 class TestDeprecationShims:
-    def _reset(self):
-        driver._DEPRECATION_WARNED.clear()
-
-    def test_positional_platform_warns_once(self):
-        self._reset()
-        platform = PlatformConfig(accesses=1_500)
-        with pytest.warns(DeprecationWarning, match="deprecated positional"):
-            a = driver.run_benchmark("STREAM", platform)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            b = driver.run_benchmark("STREAM", platform)
-        assert a.runtime_ns == b.runtime_ns
-        self._reset()
+    """The positional call shapes the driver once accepted with a
+    warning are gone: they now fail with Python's own TypeError."""
 
     def test_positional_and_keyword_platform_rejected(self):
         platform = PlatformConfig(accesses=1_500)
         with pytest.raises(TypeError):
             driver.run_benchmark("STREAM", platform, platform=platform)
-
-    def test_run_baseline_and_coalesced_positional_warns(self):
-        self._reset()
-        platform = PlatformConfig(accesses=1_500)
-        with pytest.warns(DeprecationWarning, match="deprecated positional"):
-            base, coal = driver.run_baseline_and_coalesced("STREAM", platform)
-        assert base.coalescing_efficiency == 0.0
-        assert coal.coalescing_efficiency > 0.0
-        self._reset()
-
-    def test_run_trace_through_coalescer_positional_warns(self):
-        from repro.cache.hierarchy import CacheHierarchy
-        from repro.cache.tracer import MemoryTracer
-        from repro.core.coalescer import MemoryCoalescer
-        from repro.hmc.device import HMCDevice
-        from repro.workloads import get_workload
-
-        self._reset()
-        platform = PlatformConfig(accesses=1_500)
-        workload = get_workload("STREAM", num_threads=12, seed=0)
-        tracer = MemoryTracer(
-            CacheHierarchy(platform.hierarchy),
-            cycles_per_access=platform.cycles_per_access,
-        )
-        device = HMCDevice(platform.hmc)
-        coalescer = MemoryCoalescer(
-            platform.coalescer,
-            service_time=driver._make_service_time(device, platform.cycle_ns),
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated positional"):
-            last = driver.run_trace_through_coalescer(
-                tracer.trace(workload.accesses(platform.accesses)),
-                coalescer,
-                device,
-                cycle_ns=platform.cycle_ns,
-            )
-        assert last > 0
-        self._reset()
 
     def test_keyword_form_requires_coalescer_and_cycle_ns(self):
         with pytest.raises(TypeError, match="coalescer"):
