@@ -9,8 +9,10 @@ plus the flattened metrics registry -- equality means the same
 1. **MSHR parity.**  The indexed :class:`repro.core.mshr.DynamicMSHRFile`
    replaced the original linear-scan implementation, retained verbatim
    as :class:`repro.core.mshr_reference.ReferenceMSHRFile`.  Each cell
-   runs twice end to end -- fast path vs reference swapped in through
-   the coalescer's ``DEFAULT_MSHR_FACTORY`` hook.
+   runs twice end to end on the object engine -- fast path vs reference
+   swapped in through the coalescer's ``DEFAULT_MSHR_FACTORY`` hook --
+   so it compares the file's own offer and merge path, not the
+   coalescing kernel's lean twin of it.
 
 2. **Replay parity.**  The trace-materialization layer
    (:mod:`repro.trace`) captures the LLC miss stream on first use and
@@ -23,7 +25,10 @@ plus the flattened metrics registry -- equality means the same
    (:mod:`repro.kernels`) re-executes capture and replay as batched
    NumPy passes; the object engine is retained verbatim as the
    reference.  Each cell runs end to end under ``engine="object"`` and
-   ``engine="vector"`` and the two digests must be identical.
+   ``engine="vector"`` and the two digests must be identical, and the
+   vector run must actually have engaged the coalescing kernel (its
+   ``engaged`` counter grew with zero fallbacks -- otherwise the cell
+   compared the object loop with itself).
 
 4. **HMC back-end parity.**  The batched HMC timing kernel
    (:mod:`repro.kernels.hmc`) replaces the scalar device walk behind
@@ -86,13 +91,16 @@ REPLAY_CASES = (
     ("FT", "uncoalesced"),
 )
 
-#: (benchmark, figure config) cells for the HMC back-end axis.  Both
-#: run the full DMC+MSHR pipeline (the back end only attaches behind
-#: the batched coalescing kernel): SG saturates the vault queues, and
-#: SparseLU's hit-heavy stream exercises the open-row fast path.
+#: (benchmark, figure config) cells for the HMC back-end axis.  The
+#: back end attaches behind the batched coalescing kernel, which runs
+#: every figure config: SG saturates the vault queues behind the full
+#: DMC+MSHR pipeline, SparseLU's hit-heavy stream exercises the
+#: open-row fast path, and FT's MSHR-only run feeds it single-line
+#: packets without the DMC unit.
 HMC_CASES = (
     ("SG", "combined"),
     ("SparseLU", "combined"),
+    ("FT", "mshr_only"),
 )
 
 #: (benchmark, figure config, sorter_width, sorter_arch) cells for the
@@ -113,6 +121,7 @@ def run_digest(benchmark: str, config_name: str, factory) -> str:
             benchmark,
             platform=PlatformConfig(accesses=ACCESSES),
             coalescer=FIGURE_CONFIGS[config_name],
+            engine="object",
         )
     finally:
         coalescer_module.DEFAULT_MSHR_FACTORY = DynamicMSHRFile
@@ -175,6 +184,8 @@ def check_replay_parity(problems: list[str]) -> None:
 
 
 def check_engine_parity(problems: list[str]) -> None:
+    from repro.kernels.coalesce import kernel_counters
+
     for benchmark, config_name in CASES:
         platform = PlatformConfig(accesses=ACCESSES)
         coalescer = FIGURE_CONFIGS[config_name]
@@ -187,6 +198,7 @@ def check_engine_parity(problems: list[str]) -> None:
                 engine="object",
             )
         )
+        before = kernel_counters()
         vec = result_digest(
             run_benchmark(
                 benchmark,
@@ -195,13 +207,26 @@ def check_engine_parity(problems: list[str]) -> None:
                 engine="vector",
             )
         )
+        after = kernel_counters()
+        engaged = after["engaged"] - before["engaged"]
+        fallbacks = after["fallbacks"] - before["fallbacks"]
         if obj != vec:
             problems.append(
                 f"{label}: engine digest mismatch: "
                 f"object={obj[:16]} vector={vec[:16]}"
             )
+        elif engaged < 1:
+            problems.append(
+                f"{label}: coalescing kernel never engaged "
+                "(parity was object-vs-object, not object-vs-kernel)"
+            )
+        elif fallbacks:
+            problems.append(
+                f"{label}: coalescing kernel fell back {fallbacks}x "
+                "(digests matched only via the object fallback path)"
+            )
         else:
-            print(f"  engine {label}: {obj[:16]}... OK")
+            print(f"  engine {label}: {obj[:16]}... OK (engaged={engaged})")
 
 
 def check_hmc_parity(problems: list[str]) -> None:

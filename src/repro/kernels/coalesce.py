@@ -65,11 +65,14 @@ Supporting machinery sharing the same digest boundary:
 
 The kernel only engages for the stock component stack (an *envelope
 check*, mirroring the capture kernel); anything else -- reference MSHR
-files, subclassed coalescers, DMC-less configs -- delegates to the
-object engine.  If an invariant the kernel relies on is violated
-mid-run it raises :class:`CoalesceKernelError`; the driver catches it,
-rebuilds the component stack and re-runs the object replay, so a
-verification miss costs one retry, never a wrong digest.
+files, subclassed coalescers -- delegates to the object engine.
+Configs without the DMC unit are inside the envelope: their rows reach
+the CRQ as single-line packets through
+:meth:`BatchedCoalescer.push_line` instead of sorted sequences.  If an
+invariant the kernel relies on is violated mid-run it raises
+:class:`CoalesceKernelError`; the driver catches it, rebuilds the
+component stack and re-runs the object replay, so a verification miss
+costs one retry, never a wrong digest.
 """
 
 from __future__ import annotations
@@ -123,9 +126,10 @@ def supports_batched_coalesce(coalescer: MemoryCoalescer) -> bool:
 
     The kernel replays the exact accounting of the stock
     ``MemoryCoalescer``/``DynamicMSHRFile``/``CoalescedRequestQueue``/
-    ``DMCUnit`` stack; subclasses or swapped implementations (e.g. the
-    reference MSHR file used by the parity harness) delegate to the
-    object engine instead.
+    ``DMCUnit`` stack, with or without the DMC unit enabled;
+    subclasses or swapped implementations (e.g. the reference MSHR
+    file used by the parity harness) delegate to the object engine
+    instead.
     """
     config = coalescer.config
     return (
@@ -134,7 +138,6 @@ def supports_batched_coalesce(coalescer: MemoryCoalescer) -> bool:
         and type(coalescer.crq) is CoalescedRequestQueue
         and type(coalescer.dmc) is DMCUnit
         and type(coalescer.pipeline) is PipelinedSortingNetwork
-        and config.enable_dmc
         and config.line_size == CACHE_LINE_SIZE
         and config.max_packet_lines in (1, 2, 4, 8)
     )
@@ -900,6 +903,25 @@ class BatchedCoalescer:
             complete_up_to(cycle)
             self._memo = None
             drain_full(cycle)
+
+    def push_line(self, request: MemoryRequest, cycle: int) -> None:
+        """Lean twin of the non-DMC branch of ``MemoryCoalescer.push``.
+
+        Without the DMC unit each LLC request becomes one single-line
+        packet, offered to the CRQ and drained at once.  The enqueue
+        always clears the drain memo, so the drain runs in full.
+        """
+        self.enqueue(
+            CoalescedRequest(
+                addr=request.addr,
+                num_lines=1,
+                rtype=request.rtype,
+                constituents=[request],
+                issue_cycle=cycle,
+            ),
+            cycle,
+        )
+        self._drain_full(cycle)
 
     # -- sequence handling ---------------------------------------------------
 

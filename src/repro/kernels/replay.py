@@ -22,8 +22,13 @@ metrics, timeline entries, CRQ/MSHR interactions, drain cadence --
 replays the object path's call sequence exactly; the parity cells in
 ``scripts/check_perf_parity.py`` and the differential tests pin it.
 
-Configurations without the DMC unit never sort (each row becomes a
-single-line packet), so they delegate to the object loop unchanged.
+Configurations without the DMC unit never sort: each row becomes a
+single-line packet.  They run a short row loop on the same batched
+kernel, :meth:`~repro.kernels.coalesce.BatchedCoalescer.push_line`
+replaying the non-DMC branch of :meth:`MemoryCoalescer.push`.  Without
+the DMC unit, only component stacks outside the kernel's envelope
+still delegate to the object loop
+(:func:`repro.trace.replay.replay_trace`).
 
 Back-to-back replays of the same buffer (a grouped sweep worker
 replaying many configs against one trace) reuse two kinds of work via
@@ -87,45 +92,21 @@ def vector_replay(
     phase names the object path uses, at coarser grain).
     """
     config = coalescer.config
+    batched = supports_batched_coalesce(coalescer)
     if not config.enable_dmc:
-        # No sorting pipeline in the loop -- nothing to batch.
+        if batched:
+            return _replay_single_lines(buffer, coalescer, profiler)
+        # No sorting pipeline and no kernel for this stack: nothing to
+        # batch.
         COUNTERS.delegated += 1
         return replay_trace(buffer, coalescer=coalescer, profiler=profiler)
 
     clock = time.perf_counter
     mark = clock()
 
-    cycles_a, addrs_a, flags_a, sizes_a, requested_a = buffer.columns()
-    n = len(cycles_a)
-    cache = buffer.replay_cache
-    if cache is None:
-        cache = buffer.replay_cache = {}
-    decoded = cache.get("columns")
-    if decoded is None:
-        cycles_l = cycles_a.tolist()
-        addrs_l = addrs_a.tolist()
-        flags_l = flags_a.tolist()
-        sizes_l = sizes_a.tolist()
-        requested_l = requested_a.tolist()
-        if n:
-            addr_np = (
-                addrs_a
-                if isinstance(addrs_a, np.ndarray)
-                else np.frombuffer(addrs_a, dtype=np.uint64)
-            ).astype(np.int64)
-            flag_np = (
-                flags_a
-                if isinstance(flags_a, np.ndarray)
-                else np.frombuffer(flags_a, dtype=np.uint8)
-            )
-            keys_np = addr_np | ((flag_np & 0b01).astype(np.int64) << TYPE_BIT)
-        else:
-            keys_np = np.empty(0, dtype=np.int64)
-        keys_l = keys_np.tolist()
-        decoded = (cycles_l, addrs_l, flags_l, sizes_l, requested_l, keys_np, keys_l)
-        cache["columns"] = decoded
-    else:
-        cycles_l, addrs_l, flags_l, sizes_l, requested_l, keys_np, keys_l = decoded
+    cache, decoded = _decoded_columns(buffer)
+    cycles_l, addrs_l, flags_l, sizes_l, requested_l, keys_np, keys_l = decoded
+    n = len(cycles_l)
 
     pipeline = coalescer.pipeline
     # The architecture's presorted-run width (two-phase only) engages
@@ -146,7 +127,7 @@ def vector_replay(
     # effects with inline accounting and precomputed merge plans when
     # the component stack is the stock one; otherwise every call goes
     # through the object machinery unchanged.
-    if supports_batched_coalesce(coalescer):
+    if batched:
         kernel = BatchedCoalescer(coalescer, replay_cache=cache)
         COUNTERS.engaged += 1
         complete = kernel.complete_up_to
@@ -450,6 +431,125 @@ def vector_replay(
     else:
         coalescer.flush(final)
 
+    coalescer._llc_requests += llc_count
+
+    if profiler is not None:
+        profiler.add("flush", clock() - mark)
+    return last_cycle
+
+
+def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
+    """The buffer's replay cache and its decoded row columns.
+
+    Decodes once per buffer: Python-int lists of the five trace columns
+    plus the extended sort keys (as an int64 array and as a list), kept
+    in ``buffer.replay_cache["columns"]`` for every later replay.
+    """
+    # columns() also runs the buffer's deferred integrity check.
+    cycles_a, addrs_a, flags_a, sizes_a, requested_a = buffer.columns()
+    cache = buffer.replay_cache
+    if cache is None:
+        cache = buffer.replay_cache = {}
+    decoded = cache.get("columns")
+    if decoded is not None:
+        return cache, decoded
+    if len(cycles_a):
+        addr_np = (
+            addrs_a
+            if isinstance(addrs_a, np.ndarray)
+            else np.frombuffer(addrs_a, dtype=np.uint64)
+        ).astype(np.int64)
+        flag_np = (
+            flags_a
+            if isinstance(flags_a, np.ndarray)
+            else np.frombuffer(flags_a, dtype=np.uint8)
+        )
+        keys_np = addr_np | ((flag_np & 0b01).astype(np.int64) << TYPE_BIT)
+    else:
+        keys_np = np.empty(0, dtype=np.int64)
+    decoded = (
+        cycles_a.tolist(),
+        addrs_a.tolist(),
+        flags_a.tolist(),
+        sizes_a.tolist(),
+        requested_a.tolist(),
+        keys_np,
+        keys_np.tolist(),
+    )
+    cache["columns"] = decoded
+    return cache, decoded
+
+
+def _replay_single_lines(
+    buffer: TraceBuffer,
+    coalescer: MemoryCoalescer,
+    profiler: PhaseProfiler | None,
+) -> int:
+    """The kernel row loop for configs without the DMC unit.
+
+    Replays the non-DMC branch of ``MemoryCoalescer.push`` row by row:
+    a fence takes its sorter slot and its CRQ marker, and every other
+    row is either bypassed or offered as one single-line packet through
+    :meth:`BatchedCoalescer.push_line`.  Each row's request is built as
+    the row comes, so the run never holds a list of all of them.
+    Profiler phases match :func:`vector_replay`'s.
+    """
+    clock = time.perf_counter
+    mark = clock()
+
+    cache, decoded = _decoded_columns(buffer)
+    cycles_l, addrs_l, flags_l, sizes_l, requested_l = decoded[:5]
+    kernel = BatchedCoalescer(coalescer, replay_cache=cache)
+    COUNTERS.engaged += 1
+    pipeline = coalescer.pipeline
+    crq = coalescer.crq
+    can_bypass = coalescer._can_bypass
+    complete = kernel.complete_up_to
+    kheap = kernel._c_heap
+    push_line = kernel.push_line
+
+    if profiler is not None:
+        now = clock()
+        profiler.add("trace", now - mark)
+        mark = now
+
+    llc_count = 0
+    for i in range(len(cycles_l)):
+        c = cycles_l[i]
+        if kheap and c >= kheap[0][0]:
+            # The object path's per-row _complete_up_to is a no-op
+            # unless the earliest completion is due.
+            complete(c)
+        f = flags_l[i]
+        if f & _TYPE_MASK == _FENCE_CODE:
+            # push(): the pipeline buffer is always empty here, so the
+            # fence only takes its slot, then the CRQ fence marker.
+            pipeline.fence_slot(c)
+            crq.push_fence(c)
+            kernel.note_fence()
+            kernel.drain(c)
+            continue
+        llc_count += 1
+        addr = addrs_l[i]
+        request = MemoryRequest(
+            addr=addr,
+            rtype=_STORE if f & 0b01 else _LOAD,
+            size=sizes_l[i],
+            requested_bytes=requested_l[i],
+            _line=addr >> 6,
+        )
+        if can_bypass(c):
+            kernel.bypass(request, c)
+        else:
+            push_line(request, c)
+
+    if profiler is not None:
+        now = clock()
+        profiler.add("coalesce", now - mark)
+        mark = now
+
+    last_cycle = buffer.last_cycle
+    kernel.finish(last_cycle + 1)
     coalescer._llc_requests += llc_count
 
     if profiler is not None:

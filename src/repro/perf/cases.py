@@ -5,10 +5,14 @@ config, trace length) triple plus a *kind* selecting what the harness
 actually times.  Three suites are provided:
 
 ``smoke``
-    Three plain simulations, a few seconds total: what CI's perf-smoke
-    job runs on every push.  SG/combined is the stress case — the
-    scatter-gather access pattern keeps the MSHR file full, which is
-    exactly the regime the indexed offer path optimizes.
+    Three plain simulations plus two warm-trace replays, a few seconds
+    total: what CI's perf-smoke job runs on every push.  SG/combined
+    is the stress case — the scatter-gather access pattern keeps the
+    MSHR file full, which is exactly the regime the indexed offer path
+    optimizes.  The plain simulations pin the object engine; the two
+    ``vector_hmc`` replays gate the kernel engine's configs without
+    the DMC unit (MG/uncoalesced: single-line packets, no merging;
+    SG/mshr_only: merge-while-full on single-line packets).
 
 ``trace``
     The trace-materialization layer's capture/replay economics:
@@ -218,6 +222,8 @@ SMOKE_SUITE: tuple[PerfCase, ...] = (
     PerfCase("SG", "combined", 6_000),
     PerfCase("FT", "combined", 6_000),
     PerfCase("MG", "uncoalesced", 6_000),
+    PerfCase("MG", "uncoalesced", 6_000, kind="vector_hmc"),
+    PerfCase("SG", "mshr_only", 6_000, kind="vector_hmc"),
 )
 
 TRACE_SUITE: tuple[PerfCase, ...] = (

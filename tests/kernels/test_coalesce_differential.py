@@ -11,15 +11,20 @@ produce dense LLC miss traffic, and the coalescer configs cover the
 regimes the merge-plan join has to get right:
 
 * the stock ``combined`` config (DMC + dynamic MSHRs);
+* the configs without the DMC unit (``uncoalesced``, ``mshr_only``),
+  where every LLC request is a single-line packet, with stage-select
+  bypass on and off;
 * a 4-MSHR file, where allocation pressure forces merge-while-full
-  decisions and CRQ backpressure on nearly every flush;
+  decisions and CRQ backpressure on nearly every flush -- behind the
+  DMC unit and, with single-line packets, without it;
 * fences pinned adjacent to sorter-width flush boundaries, where the
   fence marker lands first/last in a CRQ batch and the probe-filter
   bookkeeping is easiest to get wrong.
 
-A forced mid-run verification miss checks the fallback contract:
-the partially-mutated stack is discarded, the object engine re-runs,
-and the result is still bit-identical (one fallback counter tick).
+A forced mid-run verification miss checks the fallback contract, with
+and without the DMC unit: the partially-mutated stack is discarded,
+the object engine re-runs, and the result is still bit-identical (one
+fallback counter tick).
 """
 
 from dataclasses import replace
@@ -27,7 +32,11 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import CoalescerConfig
+from repro.core.config import (
+    MSHR_ONLY_CONFIG,
+    UNCOALESCED_CONFIG,
+    CoalescerConfig,
+)
 from repro.core.request import Access, RequestType
 from repro.kernels.coalesce import kernel_counters
 from repro.perf.digest import result_digest
@@ -41,6 +50,26 @@ _TINY_HIERARCHY = {"l1_size": 1024, "l2_size": 2048, "llc_size": 4096}
 _COMBINED = CoalescerConfig()
 #: Merge-while-full regime: the MSHR file fills within one flush.
 _TINY_MSHRS = replace(_COMBINED, num_mshrs=4, crq_depth=4)
+#: The same file fed single-line packets (no DMC unit).
+_TINY_MSHR_ONLY = replace(MSHR_ONLY_CONFIG, num_mshrs=4, crq_depth=4)
+
+
+def _bypass_on_and_off(*configs: CoalescerConfig) -> tuple:
+    """Each config with stage-select bypass enabled, then disabled."""
+    return tuple(
+        replace(c, stage_select_enabled=on)
+        for c in configs
+        for on in (True, False)
+    )
+
+
+#: Configs each random stream runs on, with and without the DMC unit.
+_RANDOM_CONFIGS = (
+    _COMBINED,
+    *_bypass_on_and_off(UNCOALESCED_CONFIG, MSHR_ONLY_CONFIG),
+)
+#: Merge-while-full configs, multi-line and single-line packets.
+_FULL_CONFIGS = (_TINY_MSHRS, *_bypass_on_and_off(_TINY_MSHR_ONLY))
 
 
 def _platform(accesses: int, coalescer: CoalescerConfig) -> PlatformConfig:
@@ -127,7 +156,8 @@ def _assert_engines_match(events: list[Access], coalescer: CoalescerConfig):
 )
 @given(rows=_EVENT_ROWS)
 def test_random_flush_batches_match_object_engine(rows):
-    _assert_engines_match(_to_accesses(rows), _COMBINED)
+    for coalescer in _RANDOM_CONFIGS:
+        _assert_engines_match(_to_accesses(rows), coalescer)
 
 
 @settings(
@@ -137,7 +167,8 @@ def test_random_flush_batches_match_object_engine(rows):
 )
 @given(rows=_EVENT_ROWS)
 def test_merge_while_full_matches_object_engine(rows):
-    _assert_engines_match(_to_accesses(rows), _TINY_MSHRS)
+    for coalescer in _FULL_CONFIGS:
+        _assert_engines_match(_to_accesses(rows), coalescer)
 
 
 @settings(
@@ -166,25 +197,34 @@ def test_fence_adjacent_flushes_match_object_engine(rows, fence_offset):
 
 
 def test_verification_miss_falls_back_to_object_engine(monkeypatch):
-    """A mid-run kernel error discards the stack and re-runs object."""
+    """A mid-run kernel error discards the stack and re-runs object.
+
+    Checked behind the DMC unit (the sequence handler raises) and
+    without it (the single-line packet enqueue raises).
+    """
     from repro.kernels import coalesce as ck
 
     rows = [(i % 9, (i * 13) % 64, i % 4, 8, i % 3, i % 4) for i in range(240)]
     events = _to_accesses(rows)
     workload = _Scripted(events)
-    platform = _platform(len(events), _COMBINED)
-    obj = run_benchmark(workload, platform=platform, engine="object")
 
     def boom(self, *args, **kwargs):
         raise ck.CoalesceKernelError("forced-test-miss")
 
-    monkeypatch.setattr(ck.BatchedCoalescer, "handle_sequence", boom)
-    before = kernel_counters()
-    vec = run_benchmark(workload, platform=platform, engine="vector")
-    after = kernel_counters()
-    assert after["fallbacks"] == before["fallbacks"] + 1
-    assert (
-        after["fallback_reasons"]["forced-test-miss"]
-        == before["fallback_reasons"].get("forced-test-miss", 0) + 1
-    )
-    assert result_digest(vec) == result_digest(obj)
+    for coalescer, method in (
+        (_COMBINED, "handle_sequence"),
+        (MSHR_ONLY_CONFIG, "enqueue"),
+    ):
+        platform = _platform(len(events), coalescer)
+        obj = run_benchmark(workload, platform=platform, engine="object")
+        with monkeypatch.context() as patch:
+            patch.setattr(ck.BatchedCoalescer, method, boom)
+            before = kernel_counters()
+            vec = run_benchmark(workload, platform=platform, engine="vector")
+            after = kernel_counters()
+        assert after["fallbacks"] == before["fallbacks"] + 1
+        assert (
+            after["fallback_reasons"]["forced-test-miss"]
+            == before["fallback_reasons"].get("forced-test-miss", 0) + 1
+        )
+        assert result_digest(vec) == result_digest(obj)

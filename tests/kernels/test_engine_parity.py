@@ -16,6 +16,8 @@ import pytest
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.tracer import MemoryTracer
 from repro.core.request import Access, RequestType
+from repro.kernels import coalesce as coalesce_kernel
+from repro.kernels import hmc as hmc_kernel
 from repro.kernels import resolve_engine
 from repro.kernels.capture import batch_capture, supports_vector_capture
 from repro.perf.digest import result_digest
@@ -103,11 +105,20 @@ def test_engine_digest_parity(bench, config):
     obj = run_benchmark(
         bench, platform=platform, coalescer=coalescer, engine="object"
     )
+    kernels = (coalesce_kernel, hmc_kernel)
+    before = [k.kernel_counters() for k in kernels]
     vec = run_benchmark(
         bench, platform=platform, coalescer=coalescer, engine="vector"
     )
+    after = [k.kernel_counters() for k in kernels]
     assert result_digest(obj) == PINNED_DIGESTS[bench, config]
     assert result_digest(vec) == PINNED_DIGESTS[bench, config]
+    # Every figure config, with or without the DMC unit, runs on the
+    # coalescing kernel and the HMC back end behind it.
+    for b, a in zip(before, after):
+        assert a["engaged"] == b["engaged"] + 1
+        assert a["delegated"] == b["delegated"]
+        assert a["fallbacks"] == b["fallbacks"]
 
 
 @pytest.mark.parametrize("bench", ("SG", "STREAM", "SparseLU"))
@@ -180,6 +191,32 @@ def test_prefetch_platforms_fall_back_to_the_object_path():
     obj = run_benchmark("STREAM", platform=platform, engine="object")
     vec = run_benchmark("STREAM", platform=platform, engine="vector")
     assert result_digest(obj) == result_digest(vec)
+
+
+@pytest.mark.parametrize("config", ("uncoalesced", "combined"))
+def test_non_stock_stacks_delegate_to_the_object_machinery(monkeypatch, config):
+    """A stack outside the kernel envelope (here the reference MSHR
+    file) delegates: without the DMC unit to the object replay loop,
+    with it to the object DMC/CRQ/MSHR methods."""
+    import repro.core.coalescer as coalescer_module
+    from repro.core.mshr_reference import ReferenceMSHRFile
+
+    platform = PlatformConfig(accesses=900)
+    coalescer = FIGURE_CONFIGS[config]
+    obj = run_benchmark(
+        "FT", platform=platform, coalescer=coalescer, engine="object"
+    )
+    monkeypatch.setattr(
+        coalescer_module, "DEFAULT_MSHR_FACTORY", ReferenceMSHRFile
+    )
+    before = coalesce_kernel.kernel_counters()
+    vec = run_benchmark(
+        "FT", platform=platform, coalescer=coalescer, engine="vector"
+    )
+    after = coalesce_kernel.kernel_counters()
+    assert after["engaged"] == before["engaged"]
+    assert after["delegated"] == before["delegated"] + 1
+    assert result_digest(vec) == result_digest(obj)
 
 
 def test_resolve_engine_contract():
