@@ -10,7 +10,7 @@ re-runs every (benchmark, config) cell serially through
 * the sweep's merged :class:`MetricsRegistry` equals the registries of
   the serial runs merged in expansion order;
 * the persistent-pool executor writes byte-identical checkpoints to
-  the fork-per-run executor for the same grid.
+  the inline (``jobs=1``) executor for the same grid.
 
 Exit status 0 on parity, 1 on any divergence.
 
@@ -75,25 +75,28 @@ def main() -> int:
         )
 
     with tempfile.TemporaryDirectory(prefix="sweep-parity-exec-") as root:
-        pool_dir, fork_dir = Path(root, "pool"), Path(root, "fork")
+        pool_dir, inline_dir = Path(root, "pool"), Path(root, "inline")
         pooled = run_sweep(SPEC, jobs=2, executor="pool", out_dir=pool_dir, retries=0)
-        forked = run_sweep(SPEC, jobs=2, executor="fork", out_dir=fork_dir, retries=0)
-        for s, label in ((pooled, "pool"), (forked, "fork")):
+        inlined = run_sweep(
+            SPEC, jobs=1, executor="inline", out_dir=inline_dir, retries=0
+        )
+        for s, label in ((pooled, "pool"), (inlined, "inline")):
             for failure in s.failures:
                 problems.append(
                     f"{label} executor run failed: {failure.key.label}: {failure.error}"
                 )
         pool_names = sorted(p.name for p in pool_dir.iterdir())
-        fork_names = sorted(p.name for p in fork_dir.iterdir())
-        if pool_names != fork_names:
+        inline_names = sorted(p.name for p in inline_dir.iterdir())
+        if pool_names != inline_names:
             problems.append(
-                f"executor checkpoint sets differ: pool={pool_names} fork={fork_names}"
+                f"executor checkpoint sets differ: pool={pool_names} "
+                f"inline={inline_names}"
             )
         else:
             for name in pool_names:
-                if (pool_dir / name).read_bytes() != (fork_dir / name).read_bytes():
+                if (pool_dir / name).read_bytes() != (inline_dir / name).read_bytes():
                     problems.append(
-                        f"checkpoint {name}: pool bytes differ from fork bytes"
+                        f"checkpoint {name}: pool bytes differ from inline bytes"
                     )
         if pooled.registry.as_flat_dict() != expected:
             problems.append("pool-executor merged registry differs from serial merge")
@@ -108,7 +111,7 @@ def main() -> int:
     print(
         f"sweep parity OK: {cells} runs with --jobs 2 match serial "
         f"execution; merged registry ({len(merged)} flat metrics) identical; "
-        f"pool and fork executors wrote byte-identical checkpoints"
+        f"pool and inline executors wrote byte-identical checkpoints"
     )
     return 0
 

@@ -600,23 +600,28 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.api import Session
+    from repro.errors import ConfigError
     from repro.serve.scheduler import JobScheduler
     from repro.serve.server import ReproServer
 
-    scheduler = JobScheduler(
-        session=Session(
-            accesses=args.accesses,
-            seed=args.seed,
-            trace_dir=args.trace_dir,
-        ),
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        tenant_quota=args.tenant_quota,
-        retention=args.retention,
-        executor=args.executor,
-        checkpoint_dir=args.checkpoint_dir,
-        run_timeout=args.run_timeout,
-    )
+    try:
+        scheduler = JobScheduler(
+            session=Session(
+                accesses=args.accesses,
+                seed=args.seed,
+                trace_dir=args.trace_dir,
+            ),
+            workers=args.workers,
+            queue_limit=args.queue_limit,
+            tenant_quota=args.tenant_quota,
+            retention=args.retention,
+            executor=args.executor,
+            checkpoint_dir=args.checkpoint_dir,
+            run_timeout=args.run_timeout,
+        )
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     server = ReproServer(scheduler, host=args.host, port=args.port)
 
     async def _main() -> int:
@@ -698,11 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--executor",
         dest="sweep_executor",
-        choices=("auto", "inline", "pool", "fork"),
+        choices=("auto", "inline", "pool"),
         default=None,
         help="execution strategy: auto (default) picks inline for "
-        "--jobs 1 and the persistent worker pool otherwise; fork "
-        "forces the legacy process-per-run path (all byte-identical)",
+        "--jobs 1 and the persistent worker pool otherwise (both "
+        "byte-identical)",
     )
     sweep.add_argument("--out", help="checkpoint directory (one file per run)")
     sweep.add_argument(
@@ -893,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("thread", "process"),
         default="thread",
         help="run jobs on worker threads (shared in-memory caches) or "
-        "in forked shard-worker processes (default thread)",
+        "each in its own worker process (default thread)",
     )
     serve.add_argument(
         "--queue-limit",
@@ -932,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-timeout",
         type=float,
         default=None,
-        help="per-run wall-clock bound in seconds (process executor)",
+        help="per-run wall-clock bound in seconds (needs --executor process)",
     )
     serve.add_argument(
         "--load-test",

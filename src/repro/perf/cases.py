@@ -28,10 +28,9 @@ actually times.  Three suites are provided:
 ``sweep``
     The sweep engine's orchestration economics: a 24-cell mini-sweep
     (6 benchmarks x the 4 figure configs) executed by the persistent
-    worker pool vs the legacy fork-per-run path, at ``--jobs`` 1 and
-    4.  The measured number is cells/second; the pool-vs-fork ratio at
-    equal jobs is the orchestration speedup (process reuse + shared
-    mmap traces + grouped multi-config replay).
+    worker pool at ``--jobs`` 1 and 4.  The measured number is
+    cells/second (process reuse + shared mmap traces + grouped
+    multi-config replay).
 
 ``sorter``
     The wide-sorter scaling grid: object-vs-vector replay twins at
@@ -108,15 +107,13 @@ Case kinds
     ``sorter_scale_phase_speedup`` (coalesce phase) per width are the
     scaling-acceptance numbers -- the vector engine must keep the wide
     window from becoming the replay Amdahl ceiling.
-``sweep_throughput`` / ``sweep_throughput_fork``
+``sweep_throughput``
     A full 24-cell mini-sweep through :func:`repro.sim.sweep.run_sweep`
-    with the persistent worker pool vs the fork-per-run executor, at
-    the case's ``jobs`` count, both against one shared on-disk trace
-    store seeded before measurement.  The report entry carries
-    ``cells`` and ``cells_per_second``; the derived
-    ``sweep_pool_speedup`` is the pool/fork ratio at equal jobs.  The
+    with the persistent worker pool, at the case's ``jobs`` count,
+    against one shared on-disk trace store seeded before measurement.
+    The report entry carries ``cells`` and ``cells_per_second``.  The
     composite digest chains every cell's result digest, so the gate
-    also pins cross-executor bit-exactness.
+    also pins the pool's bit-exactness at each worker count.
 
 All vector kinds pin their object twins to ``engine="object"`` so the
 pair always measures object-vs-vector regardless of the session default,
@@ -135,12 +132,11 @@ COMPOSITE_KINDS = (
     "sweep_live",
     "sweep_shared",
     "sweep_throughput",
-    "sweep_throughput_fork",
 )
 
 #: Kinds that run a whole sweep through an executor; their cases carry
 #: a nonzero ``jobs`` and report cells/second.
-SWEEP_KINDS = ("sweep_throughput", "sweep_throughput_fork")
+SWEEP_KINDS = ("sweep_throughput",)
 
 #: Kinds measured under the vector kernel engine; each has an
 #: object-engine twin kind it derives a speedup against.
@@ -268,12 +264,9 @@ SWEEP_SUITE: tuple[PerfCase, ...] = (
     # The "benchmark" label names the grid, not a workload: every case
     # runs the same 24-cell mini-sweep (see
     # ``repro.perf.harness.SWEEP_BENCHMARKS`` x the 4 figure configs),
-    # so pool-vs-fork pairs at equal jobs differ only in executor and
-    # the derived ``sweep_pool_speedup`` is pure orchestration.
+    # so the two cases differ only in worker count.
     PerfCase("GRID24", "combined", 600, kind="sweep_throughput", jobs=1),
-    PerfCase("GRID24", "combined", 600, kind="sweep_throughput_fork", jobs=1),
     PerfCase("GRID24", "combined", 600, kind="sweep_throughput", jobs=4),
-    PerfCase("GRID24", "combined", 600, kind="sweep_throughput_fork", jobs=4),
 )
 
 #: The wide-sorter scaling grid: object/vector twins at each design

@@ -35,7 +35,7 @@ from repro.perf.digest import result_digest
 #: configs = 24 cells.  Deliberately the six *lightest-replay*
 #: workloads: the sweep kinds measure orchestration (process reuse,
 #: shared traces, grouped replay), so per-cell simulation time is
-#: noise that dilutes the pool-vs-fork ratio, not signal.
+#: noise that dilutes the orchestration cost, not signal.
 SWEEP_BENCHMARKS = ("STREAM", "MG", "FT", "HPCG", "Sort", "CG")
 
 #: Report schema version (bump on incompatible layout changes).
@@ -279,9 +279,9 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
 
     sweep_trace_dir: str | None = None
     if kind in SWEEP_KINDS:
-        # Seed one shared on-disk trace store untimed, so both
-        # executors measure pure replay orchestration -- the pool's
-        # mmap/replay-cache advantage, not first-capture noise.
+        # Seed one shared on-disk trace store untimed, so the pool
+        # measures pure replay orchestration -- mmap traces and the
+        # replay cache, not first-capture noise.
         sweep_trace_dir = tempfile.mkdtemp(prefix="repro-perf-sweep-")
         seed_store = TraceStore(sweep_trace_dir)
         for bench in SWEEP_BENCHMARKS:
@@ -295,7 +295,7 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
     def attempt(profiler: PhaseProfiler | None):
         if kind in SWEEP_KINDS:
             # Checkpoints go to run_sweep's own temp dir (discarded per
-            # attempt); both executors pay identical checkpoint I/O.
+            # attempt).
             sweep = run_sweep(
                 SweepSpec(
                     platform=platform,
@@ -304,7 +304,7 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
                 ),
                 jobs=case.jobs or 1,
                 trace_dir=sweep_trace_dir,
-                executor="pool" if kind == "sweep_throughput" else "fork",
+                executor="pool",
             )
             if sweep.failures:
                 raise RuntimeError(
@@ -551,7 +551,6 @@ _SPEEDUP_PAIRS = {
     ("trace_replay", "vector_replay"): "vector_replay_speedup",
     ("trace_replay", "vector_coalesce"): "vector_coalesce_speedup",
     ("trace_replay", "vector_hmc"): "vector_hmc_speedup",
-    ("sweep_throughput_fork", "sweep_throughput"): "sweep_pool_speedup",
     ("sorter_scale_object", "sorter_scale"): "sorter_scale_speedup",
 }
 

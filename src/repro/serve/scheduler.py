@@ -26,20 +26,20 @@ HTTP layer maps both onto 429 so clients back off and retry.
 Execution is a bounded pool of worker threads.  Each worker either
 runs the simulation in-process through the shared Session
 (``executor="thread"``, the default: results, trace captures and the
-digest cache are shared directly) or forks one process per run through
-the sweep layer's shard worker (``executor="process"``:
-:func:`repro.sim.shard.worker_main` writes a checkpoint the scheduler
-reads back and adopts, with captures shared via the on-disk trace
-store).  Graceful shutdown stops admission, drains running jobs, and
-checkpoints every cached result into ``checkpoint_dir`` as standard
-sweep checkpoint files, so a restarted server (or ``repro sweep
---resume``) reuses the work.
+digest cache are shared directly) or runs it as a one-cell sweep on
+the worker pool (``executor="process"``: :func:`repro.sim.pool.run_pool`
+starts a fresh worker process that runs the job, writes its sweep
+checkpoint and ships the result back for the scheduler to adopt;
+captures are shared via the on-disk trace store, and ``run_timeout``
+kills a run past its deadline).  Graceful shutdown stops admission,
+drains running jobs, and checkpoints every cached result into
+``checkpoint_dir`` as standard sweep checkpoint files, so a restarted
+server (or ``repro sweep --resume``) reuses the work.
 """
 
 from __future__ import annotations
 
 import logging
-import tempfile
 import threading
 import time
 from collections import Counter, OrderedDict, deque
@@ -48,6 +48,7 @@ from pathlib import Path
 from repro.api import Session
 from repro.errors import (
     CapacityError,
+    ConfigError,
     JobNotFound,
     JobStateError,
     QuotaError,
@@ -63,14 +64,8 @@ from repro.serve.jobs import (
     JobSpec,
     JobStatus,
 )
-from repro.sim.shard import (
-    CHECKPOINT_SUFFIX,
-    FAILED_SUFFIX,
-    read_checkpoint,
-    write_checkpoint,
-    worker_main,
-)
-from repro.sim.sweep import RunKey, _mp_context
+from repro.sim.shard import CHECKPOINT_SUFFIX, read_checkpoint, write_checkpoint
+from repro.sim.sweep import RunKey, SweepSpec, run_sweep
 from repro.trace.store import canonical_benchmark, trace_key
 
 logger = logging.getLogger("repro.serve")
@@ -116,15 +111,17 @@ class JobScheduler:
         until at most this many remain.  ``0`` disables the sweep.
     executor:
         ``"thread"`` (in-process, shares everything directly) or
-        ``"process"`` (one forked shard worker per run, results ride
-        home as checkpoint files).
+        ``"process"`` (each run in its own pool worker process, which
+        checkpoints it and ships the result back).
     checkpoint_dir:
         When set: restored on startup (existing checkpoints are adopted
         into the cache) and written on :meth:`close` (every cached
         result becomes a standard sweep checkpoint).
     run_timeout:
-        Per-run wall-clock bound in seconds (process executor only;
-        a timed-out worker is terminated and the job fails).
+        Per-run wall-clock bound in seconds: a timed-out worker is
+        terminated and the job fails.  Only the process executor can
+        kill a run, so a timeout with ``executor="thread"`` raises
+        :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -142,10 +139,13 @@ class JobScheduler:
         max_history: int = 4096,
     ):
         if executor not in EXECUTORS:
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 f"unknown executor {executor!r}; options: {', '.join(EXECUTORS)}"
+            )
+        if run_timeout is not None and executor != "process":
+            raise ConfigError(
+                f"run_timeout needs executor='process'; the {executor!r} "
+                "executor cannot stop a running simulation"
             )
         self.session = session or Session(platform=platform)
         self.workers = max(1, workers)
@@ -555,54 +555,19 @@ class JobScheduler:
             return self.session.run(spec.benchmark, platform=spec.platform)
 
     def _execute_in_process(self, spec: JobSpec):
-        """One forked shard worker per run (the sweep layer's entry)."""
-        digest = spec.digest
-        label = spec.label or digest[:10]
-        stem = RunKey(spec.benchmark, label, digest).stem
-        out_dir = self.checkpoint_dir
-        tmp = None
-        if out_dir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-serve-")
-            out_dir = Path(tmp.name)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ck = out_dir / (stem + CHECKPOINT_SUFFIX)
-        fail = out_dir / (stem + FAILED_SUFFIX)
-        payload = {
-            "benchmark": spec.benchmark,
-            "config": label,
-            "digest": digest,
-            "platform": spec.platform.to_dict(),
-            "trace_dir": self.session.trace_dir,
-        }
-        try:
-            ctx = _mp_context()
-            proc = ctx.Process(
-                target=worker_main, args=(payload, str(ck), str(fail))
-            )
-            proc.start()
-            proc.join(self.run_timeout)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-                raise JobStateError(
-                    f"run timed out after {self.run_timeout}s and was killed"
-                )
-            if not ck.exists():
-                import json as _json
-
-                if fail.exists():
-                    record = _json.loads(fail.read_text())
-                    raise JobStateError(
-                        f"worker failed: {record.get('error', 'unknown error')}"
-                    )
-                raise JobStateError(
-                    f"worker crashed (exit code {proc.exitcode})"
-                )
-            _, result = read_checkpoint(ck)
-            return result
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
+        """Run one job as a one-cell pool sweep: a fresh worker process."""
+        label = spec.label or spec.digest[:10]
+        sweep = run_sweep(
+            SweepSpec(benchmarks=(spec.benchmark,), configs={label: spec.platform}),
+            out_dir=self.checkpoint_dir,
+            timeout=self.run_timeout,
+            retries=0,
+            trace_dir=self.session.trace_dir,
+            executor="pool",
+        )
+        if sweep.failures:
+            raise JobStateError(sweep.failures[0].error)
+        return sweep.get(spec.benchmark, label)
 
     # -- checkpoint persistence ----------------------------------------------
 

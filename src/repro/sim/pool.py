@@ -1,10 +1,12 @@
-"""Persistent worker pool for the sweep engine.
+"""Persistent worker pool: the one supervisor of worker processes.
 
-The fork-per-run path (:func:`repro.sim.sweep._run_parallel`) pays one
-process start, one interpreter warm-up and one trace read/decode per
-sweep cell.  This module replaces that with long-lived workers
-consuming a run queue over a pipe protocol, so those costs amortize
-across every cell a worker executes:
+Every run that leaves the parent process goes through :func:`run_pool`:
+a parallel sweep (``run_sweep(executor="pool")``) and each job of
+``repro serve --executor process`` (a one-cell sweep).  Starting a
+process per run would pay one process start, one interpreter warm-up
+and one trace read/decode per cell; long-lived workers consume a run
+queue over a pipe protocol instead, so those costs amortize across
+every cell a worker executes:
 
 * each worker builds one :class:`~repro.trace.TraceStore` at startup
   (mmap-backed when the sweep has a ``trace_dir``) and keeps it for
@@ -15,11 +17,11 @@ across every cell a worker executes:
   trace key and a worker drains its current bucket before taking a
   new one, so the cells that can share a capture run back-to-back on
   the same worker;
-* the failure contract of the fork path is preserved exactly --
-  per-run ``timeout`` (deadline -> terminate -> fresh worker), bounded
-  retry, structured ``*.failed.json`` sidecars, and
-  :class:`~repro.sim.sweep.FailedRun` records -- and checkpoints are
-  byte-identical at any ``--jobs`` because the worker calls the same
+* failures are contained per run -- per-run ``timeout`` (deadline ->
+  terminate -> fresh worker), bounded retry, structured
+  ``*.failed.json`` sidecars, and :class:`~repro.sim.sweep.FailedRun`
+  records -- and checkpoints are byte-identical to the inline
+  executor's at any ``--jobs`` because the worker calls the same
   :func:`repro.sim.shard.execute_run` serializer.
 
 A worker that dies mid-run (crash, kill, deadline) is detected as EOF
@@ -209,8 +211,11 @@ def run_pool(
 ) -> None:
     """Execute ``pending`` on a persistent worker pool.
 
-    Mirrors the fork path's semantics (timeout, retry, sidecars,
-    progress lines) with long-lived workers and grouped scheduling.
+    Up to ``jobs`` long-lived workers drain the grouped queue; a run
+    past its ``timeout`` is killed with its worker, failed attempts are
+    retried up to ``retries`` times, and each finished run lands in
+    ``results`` (keyed by ``item.key``) or ``failures``.  ``pending``
+    items are :class:`repro.sim.sweep._Pending` records.
     """
     from repro.sim.shard import read_checkpoint
     from repro.sim.sweep import FailedRun, _say

@@ -1,19 +1,22 @@
-"""Worker-side execution and checkpoint serialization for sweeps.
+"""Shard execution and checkpoint serialization for sweeps.
 
-One sweep shard is one ``(benchmark, coalescer-config)`` simulation
-executed in a worker process.  This module owns everything that has to
-cross the process boundary or survive an interrupted sweep:
+One sweep shard is one ``(benchmark, coalescer-config)`` simulation,
+executed inline or in a worker process.  This module owns everything
+that has to cross the process boundary or survive an interrupted
+sweep:
 
-* lossless JSON conversion of :class:`~repro.sim.driver.PlatformConfig`
-  and :class:`~repro.sim.driver.SimulationResult` (all stage stats plus
-  the per-run :class:`~repro.obs.metrics.MetricsRegistry`);
+* lossless JSON conversion of :class:`~repro.sim.driver.SimulationResult`
+  (the platform via :meth:`~repro.sim.driver.PlatformConfig.to_dict`,
+  all stage stats, plus the per-run
+  :class:`~repro.obs.metrics.MetricsRegistry`);
 * the checkpoint file format -- JSON lines, one file per completed run:
   a ``{"kind": "sweep-run", ...}`` header, a ``{"kind": "result", ...}``
   payload, then the registry's own self-describing metric lines (the
   same shape ``repro stats --json`` emits);
-* :func:`worker_main`, the process entry point, which writes either the
-  checkpoint (success) or a ``*.failed.json`` sidecar (structured
-  failure) so the parent never has to unpickle exceptions.
+* :func:`execute_run`, which runs one shard and checkpoints it.  Worker
+  processes call it from :func:`repro.sim.pool.pool_worker_main`, which
+  also writes the ``*.failed.json`` sidecar of a failed run so the
+  parent never has to unpickle exceptions.
 
 Checkpoints are written atomically (temp file + ``os.replace``) and
 deterministically (``sort_keys`` everywhere), so the same run produces
@@ -26,8 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-import traceback
 from dataclasses import fields
 from pathlib import Path
 from typing import Any
@@ -62,26 +63,6 @@ def _int_keyed(d: dict) -> dict[int, int]:
     return {int(k): v for k, v in d.items()}
 
 
-# -- platform ----------------------------------------------------------------
-#
-# The platform codec lives on the config itself now
-# (:meth:`PlatformConfig.to_dict` / ``from_dict`` / the versioned
-# ``to_json`` wire envelope); these aliases keep the historical import
-# path working for checkpoint consumers.
-
-
-def platform_to_dict(platform) -> dict:
-    """Alias for :meth:`PlatformConfig.to_dict` (the canonical codec)."""
-    return platform.to_dict()
-
-
-def platform_from_dict(d: dict):
-    """Alias for :meth:`PlatformConfig.from_dict`."""
-    from repro.sim.driver import PlatformConfig
-
-    return PlatformConfig.from_dict(d)
-
-
 # -- results -----------------------------------------------------------------
 
 
@@ -94,7 +75,7 @@ def result_to_dict(result) -> dict:
     coal = result.coalescer
     return {
         "benchmark": result.benchmark,
-        "platform": platform_to_dict(result.platform),
+        "platform": result.platform.to_dict(),
         "tracer": _scalar_fields(result.tracer),
         "coalescer": {
             "llc_requests": coal.llc_requests,
@@ -114,9 +95,9 @@ def result_to_dict(result) -> dict:
 
 def result_from_dict(d: dict, metrics=None):
     """Inverse of :func:`result_to_dict`."""
-    from repro.sim.driver import SimulationResult
+    from repro.sim.driver import PlatformConfig, SimulationResult
 
-    platform = platform_from_dict(d["platform"])
+    platform = PlatformConfig.from_dict(d["platform"])
     coal = d["coalescer"]
     dmc = dict(coal["dmc"])
     dmc["packets_by_lines"] = _int_keyed(dmc["packets_by_lines"])
@@ -204,55 +185,27 @@ def read_checkpoint(path: str | Path):
     return header, result_from_dict(result_doc, metrics=registry)
 
 
-# -- worker entry point ------------------------------------------------------
+# -- shard execution ---------------------------------------------------------
 
 
-def execute_run(payload: dict, checkpoint_path: str | Path, trace_store=None):
+def execute_run(payload: dict, checkpoint_path: str | Path, trace_store):
     """Run one shard and checkpoint it; returns the live result.
 
     ``payload`` is the scheduler's run description::
 
         {"benchmark": ..., "config": ..., "digest": ...,
-         "platform": platform_to_dict(...), "trace_dir": ... or None}
+         "platform": PlatformConfig.to_dict(...)}
 
-    ``trace_store`` lets an in-process scheduler share one
-    :class:`~repro.trace.TraceStore` across shards; forked workers
-    instead rebuild a store from the payload's ``trace_dir`` (the
-    on-disk tier is how they share captures, via atomic writes).
+    ``trace_store`` is the caller's :class:`~repro.trace.TraceStore`:
+    the inline executor shares one across the sweep, and each pool
+    worker keeps one for its whole life.
     """
-    from repro.sim.driver import run_benchmark
-    from repro.trace import TraceStore
+    from repro.sim.driver import PlatformConfig, run_benchmark
 
-    if trace_store is None and payload.get("trace_dir"):
-        trace_store = TraceStore(payload["trace_dir"])
-    platform = platform_from_dict(payload["platform"])
+    platform = PlatformConfig.from_dict(payload["platform"])
     result = run_benchmark(
         payload["benchmark"], platform=platform, trace_store=trace_store
     )
     header = {k: payload[k] for k in ("benchmark", "config", "digest")}
     write_checkpoint(checkpoint_path, header, result)
     return result
-
-
-def worker_main(payload: dict, checkpoint_path: str, fail_path: str) -> None:
-    """Process entry point: run one shard, report failure structurally.
-
-    On any exception the worker writes a JSON sidecar with the error
-    and traceback, then exits non-zero; the parent turns that into a
-    :class:`repro.sim.sweep.FailedRun` instead of losing the sweep.
-    """
-    try:
-        execute_run(payload, checkpoint_path)
-    except BaseException as exc:  # noqa: BLE001 - boundary of the process
-        record = {
-            "kind": "failed",
-            "benchmark": payload.get("benchmark"),
-            "config": payload.get("config"),
-            "digest": payload.get("digest"),
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
-        try:
-            Path(fail_path).write_text(json.dumps(record, sort_keys=True) + "\n")
-        finally:
-            sys.exit(1)

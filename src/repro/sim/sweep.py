@@ -28,14 +28,10 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 import os
 import re
 import tempfile
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -47,14 +43,12 @@ from repro.core.config import (
 )
 from repro.obs import MetricsRegistry
 from repro.sim.driver import PlatformConfig, SimulationResult
-from repro.sim.pool import _mp_context, run_pool, warn_spawn_once
+from repro.sim.pool import _mp_context, run_pool
 from repro.sim.shard import (
     CHECKPOINT_SUFFIX,
     FAILED_SUFFIX,
     execute_run,
-    platform_to_dict,
     read_checkpoint,
-    worker_main,
 )
 from repro.workloads import BENCHMARKS
 
@@ -289,7 +283,7 @@ class SweepResult:
     skipped: int
     out_dir: Path | None
     #: Execution provenance: which executor ran the sweep
-    #: (``inline``/``pool``/``fork``), the multiprocessing start
+    #: (``inline``/``pool``), the multiprocessing start
     #: method (``None`` for inline), and requested vs effective jobs
     #: -- so perf numbers are interpretable after the fact.
     metadata: dict = field(default_factory=dict)
@@ -311,7 +305,6 @@ class _Pending:
     key: RunKey
     platform: PlatformConfig
     checkpoint: Path
-    trace_dir: str | None = None
     attempts: int = 0
 
     @property
@@ -323,16 +316,8 @@ class _Pending:
             "benchmark": self.key.benchmark,
             "config": self.key.config,
             "digest": self.key.digest,
-            "platform": platform_to_dict(self.platform),
-            "trace_dir": self.trace_dir,
+            "platform": self.platform.to_dict(),
         }
-
-
-@dataclass
-class _Running:
-    proc: multiprocessing.Process
-    item: _Pending
-    deadline: float | None
 
 
 def _say(progress: Progress | None, msg: str) -> None:
@@ -341,7 +326,7 @@ def _say(progress: Progress | None, msg: str) -> None:
 
 
 #: Valid ``executor`` arguments of :func:`run_sweep`.
-EXECUTORS = ("auto", "inline", "pool", "fork")
+EXECUTORS = ("auto", "inline", "pool")
 
 
 def run_sweep(
@@ -388,17 +373,15 @@ def run_sweep(
     trace_dir:
         On-disk :class:`~repro.trace.TraceStore` directory.  Every
         shard sharing a (benchmark, geometry, pacing) key then shares
-        one LLC capture: inline runs via an in-process store, forked
-        workers via the directory's atomically-written files (pool
-        workers additionally map them zero-copy).  ``None`` still
-        shares captures within an inline sweep or a pool worker (in
-        memory), but fork-per-run workers each capture their own.
+        one LLC capture: inline runs via an in-process store, pool
+        workers via the directory's atomically-written files, mapped
+        zero-copy.  ``None`` still shares captures within an inline
+        sweep or a pool worker (in memory).
     executor:
         Execution strategy.  ``"auto"``/``None`` picks ``"inline"``
         for ``jobs <= 1`` without a timeout and the persistent
-        ``"pool"`` otherwise; ``"fork"`` forces the legacy
-        process-per-run path; ``"inline"`` forces single-process
-        execution (incompatible with ``timeout``).  All three produce
+        ``"pool"`` otherwise; ``"inline"`` forces single-process
+        execution (incompatible with ``timeout``).  Both produce
         byte-identical checkpoints.
     """
     if executor is not None and executor not in EXECUTORS:
@@ -437,23 +420,14 @@ def run_sweep(
                     skipped += 1
                     _say(progress, f"skip {key.label} (checkpointed)")
                     continue
-            pending.append(
-                _Pending(
-                    key,
-                    platform,
-                    ck,
-                    str(trace_dir) if trace_dir is not None else None,
-                )
-            )
+            pending.append(_Pending(key, platform, ck))
 
         total = len(pending)
-        effective = 1 if mode == "inline" else clamp_jobs(jobs)
+        effective = 1 if mode == "inline" else max(1, min(clamp_jobs(jobs), total))
         metadata = {
             "executor": mode,
             "requested_jobs": jobs,
-            "effective_jobs": effective
-            if mode != "pool"
-            else max(1, min(effective, total)),
+            "effective_jobs": effective,
             "start_method": None
             if mode == "inline"
             else _mp_context().get_start_method(),
@@ -473,7 +447,7 @@ def run_sweep(
                 _run_inline(
                     pending, total, results, failures, retries, progress, trace_dir
                 )
-            elif mode == "pool":
+            else:
                 run_pool(
                     pending,
                     total,
@@ -484,17 +458,6 @@ def run_sweep(
                     retries,
                     progress,
                     trace_dir,
-                )
-            else:
-                _run_parallel(
-                    pending,
-                    total,
-                    results,
-                    failures,
-                    effective,
-                    timeout,
-                    retries,
-                    progress,
                 )
     finally:
         if tmp_dir is not None:
@@ -565,93 +528,3 @@ def _run_inline(
                 _say(progress, f"[{done}/{total}] {item.key.label} done")
             break
 
-
-def _run_parallel(
-    pending: list[_Pending],
-    total: int,
-    results: dict[RunKey, SimulationResult],
-    failures: list[FailedRun],
-    jobs: int,
-    timeout: float | None,
-    retries: int,
-    progress: Progress | None,
-) -> None:
-    """Shard ``pending`` across up to ``jobs`` worker processes.
-
-    The legacy fork-per-run path (``executor="fork"``): one process
-    per cell, retained as the baseline the persistent pool is measured
-    against (the ``sweep_throughput`` perf kinds) and as a maximally
-    isolated fallback.
-    """
-    ctx = _mp_context()
-    warn_spawn_once(ctx)
-    queue: deque[_Pending] = deque(pending)
-    running: dict[object, _Running] = {}
-    done = 0
-
-    def finish(item: _Pending, *, exitcode: int | None, timed_out: bool) -> None:
-        nonlocal done
-        item.attempts += 1
-        if not timed_out and item.checkpoint.exists():
-            try:
-                _, result = read_checkpoint(item.checkpoint)
-            except (ValueError, json.JSONDecodeError, KeyError, TypeError):
-                item.checkpoint.unlink()
-            else:
-                results[item.key] = result
-                done += 1
-                _say(progress, f"[{done}/{total}] {item.key.label} done")
-                return
-        if timed_out:
-            error, tb = f"timed out after {timeout}s", ""
-        elif item.fail_path.exists():
-            record = json.loads(item.fail_path.read_text())
-            error, tb = record.get("error", "unknown error"), record.get(
-                "traceback", ""
-            )
-        else:
-            error, tb = f"worker crashed (exit code {exitcode})", ""
-        if item.attempts <= retries:
-            _say(progress, f"retry {item.key.label} ({error})")
-            queue.append(item)
-        else:
-            failures.append(FailedRun(item.key, error, tb, item.attempts))
-            _say(progress, f"FAIL {item.key.label}: {error}")
-
-    try:
-        while queue or running:
-            while queue and len(running) < max(1, jobs):
-                item = queue.popleft()
-                if item.fail_path.exists():
-                    item.fail_path.unlink()
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(item.payload(), str(item.checkpoint), str(item.fail_path)),
-                )
-                proc.start()
-                deadline = time.monotonic() + timeout if timeout else None
-                running[proc.sentinel] = _Running(proc, item, deadline)
-
-            wait_for = None
-            deadlines = [
-                r.deadline for r in running.values() if r.deadline is not None
-            ]
-            if deadlines:
-                wait_for = max(0.0, min(deadlines) - time.monotonic())
-            ready = set(mp_connection.wait(list(running), timeout=wait_for))
-            now = time.monotonic()
-            for sentinel in list(running):
-                r = running[sentinel]
-                if sentinel in ready:
-                    r.proc.join()
-                    del running[sentinel]
-                    finish(r.item, exitcode=r.proc.exitcode, timed_out=False)
-                elif r.deadline is not None and now >= r.deadline:
-                    r.proc.terminate()
-                    r.proc.join()
-                    del running[sentinel]
-                    finish(r.item, exitcode=r.proc.exitcode, timed_out=True)
-    finally:
-        for r in running.values():
-            r.proc.terminate()
-            r.proc.join()

@@ -14,6 +14,9 @@ from repro.core.config import (
     UNCOALESCED_CONFIG,
 )
 from repro.core.request import MemoryRequest, RequestType
+from repro.kernels.replay import vector_replay
+from repro.trace.buffer import TraceBuffer
+from repro.trace.replay import replay_trace
 
 
 def load(line):
@@ -163,6 +166,31 @@ class TestBypass:
         c.flush(1000)
         c.push(load(9), 2000)
         assert c.stats().bypassed_requests == 2
+
+    @pytest.mark.parametrize("replay", [replay_trace, vector_replay])
+    def test_no_bypass_while_requests_wait_in_the_sorter(self, replay):
+        """After an arrival gap longer than the service time the MSHRs
+        and CRQ are idle again, but lines 1-2 still wait in the sorter
+        (the timeout is 1000 cycles): line 3 must queue behind them and
+        merge with line 2, not bypass ahead of them."""
+        lines = [0, 1, 2, 3, 4]
+        buf = TraceBuffer()
+        buf.extend_rows(
+            [0, 1, 2, 602, 603],
+            [line * 64 for line in lines],
+            [int(RequestType.LOAD)] * len(lines),
+            [8] * len(lines),
+            [8] * len(lines),
+        )
+        c = MemoryCoalescer(CoalescerConfig(timeout_cycles=1000), service_time=100)
+        replay(buf, coalescer=c)
+        assert c.stats().bypassed_requests == 1
+        assert [(i.request.addr // 64, i.request.num_lines) for i in c.issued] == [
+            (0, 1),
+            (1, 1),
+            (2, 2),
+            (4, 1),
+        ]
 
 
 class TestFences:

@@ -1,5 +1,6 @@
 """Tests for the job scheduler (repro.serve.scheduler)."""
 
+import multiprocessing
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.errors import (
 from repro.perf.digest import result_digest
 from repro.serve.jobs import CANCELLED, DONE, FAILED, RUNNING, JobSpec
 from repro.serve.scheduler import JobScheduler
+from repro.sim import shard
 from repro.sim.driver import PlatformConfig
 from repro.sim.sweep import FIGURE_CONFIGS
 
@@ -129,6 +131,11 @@ class TestLifecycle:
     def test_invalid_executor_rejected(self):
         with pytest.raises(ConfigError):
             JobScheduler(session=small_session(), executor="carrier-pigeon")
+
+    def test_thread_executor_rejects_run_timeout(self):
+        # A worker thread cannot be killed, so the bound would be a no-op.
+        with pytest.raises(ConfigError, match="run_timeout"):
+            JobScheduler(session=small_session(), run_timeout=60.0)
 
 
 class TestCoalescing:
@@ -341,3 +348,41 @@ class TestProcessExecutor:
             assert proc_sched.result(status.job_id).result_digest == expected
         finally:
             proc_sched.close(timeout=10.0)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched execute_run reaches the worker by fork inheritance",
+    )
+    def test_worker_exception_fails_the_job(self, monkeypatch):
+        def execute_run(*args, **kwargs):
+            raise RuntimeError("injected worker failure")
+
+        monkeypatch.setattr(shard, "execute_run", execute_run)
+        sched = JobScheduler(
+            session=small_session(), workers=1, executor="process"
+        )
+        try:
+            status = sched.submit(JobSpec("STREAM", COMBINED))
+            done = sched.wait(status.job_id, timeout=60.0)
+            assert done.state == FAILED
+            assert "injected worker failure" in done.error
+        finally:
+            sched.close(timeout=10.0)
+
+    def test_run_timeout_kills_the_run(self):
+        sched = JobScheduler(
+            session=small_session(),
+            workers=1,
+            executor="process",
+            run_timeout=0.3,
+        )
+        try:
+            heavy = PlatformConfig(accesses=300_000).with_coalescer(
+                FIGURE_CONFIGS["combined"]
+            )
+            status = sched.submit(JobSpec("SG", heavy))
+            done = sched.wait(status.job_id, timeout=60.0)
+            assert done.state == FAILED
+            assert "timed out" in done.error
+        finally:
+            sched.close(timeout=10.0)

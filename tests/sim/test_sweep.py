@@ -9,8 +9,6 @@ from repro.obs import MetricsRegistry
 from repro.sim.driver import PlatformConfig, run_benchmark
 from repro.sim.shard import (
     CHECKPOINT_SUFFIX,
-    platform_from_dict,
-    platform_to_dict,
     read_checkpoint,
     result_from_dict,
     result_to_dict,
@@ -45,7 +43,7 @@ class TestSerialization:
         original = PlatformConfig(
             accesses=2_000, seed=3, coalescer=CoalescerConfig(timeout_cycles=8)
         )
-        assert platform_from_dict(platform_to_dict(original)) == original
+        assert PlatformConfig.from_dict(original.to_dict()) == original
 
     def test_result_round_trip_scalars(self, stream_result):
         back = result_from_dict(result_to_dict(stream_result))

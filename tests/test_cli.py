@@ -111,6 +111,14 @@ class TestCommands:
         assert "trace" in out and "coalesce" in out
         assert "total" in out
 
+    def test_serve_run_timeout_needs_process_executor(self, capsys, monkeypatch):
+        def no_server(*args, **kwargs):  # a started server would never return
+            raise AssertionError("server started despite the unenforceable timeout")
+
+        monkeypatch.setattr("repro.serve.server.ReproServer", no_server)
+        assert main(["serve", "--run-timeout", "60"]) == 2
+        assert "run_timeout" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     ARGS = [
@@ -152,6 +160,12 @@ class TestSweepCommand:
     def test_sweep_unknown_config_rejected(self, capsys):
         assert main(["sweep", "--configs", "bogus"]) == 2
         assert "unknown config" in capsys.readouterr().err
+
+    def test_sweep_unknown_executor_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--executor", "fork"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fork'" in capsys.readouterr().err
 
     def test_sweep_summarize(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
