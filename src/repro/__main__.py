@@ -54,6 +54,7 @@ the kernel execution engine (bit-identical results either way; see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -411,8 +412,6 @@ def _update_baseline(report: dict, args) -> int:
     refresh must not paper over) unless ``--force``.  Cases only in
     the old baseline are kept, so suites can update independently.
     """
-    import os
-
     from repro.perf import compare_reports, derive_speedups, load_report, save_report
 
     merged = report
@@ -461,8 +460,6 @@ def _filter_cases(cases, pattern):
 
 
 def _cmd_perf(args) -> int:
-    import os
-
     from repro.analysis.report import format_table
     from repro.perf import (
         compare_reports,
@@ -524,7 +521,12 @@ def _cmd_perf(args) -> int:
         else:
             parity = "MISMATCH"
             failed = True
-        verdict = "REGRESSED" if c.regressed else "ok"
+        if c.regressed:
+            verdict = "REGRESSED"
+        elif c.throughput_comparable:
+            verdict = "ok"
+        else:
+            verdict = "n/a (worker count differs)"
         failed = failed or c.regressed
         rows.append(
             [
@@ -547,8 +549,7 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_serve_loadtest(args) -> int:
-    import os
-
+    from repro.errors import ConfigError
     from repro.serve.loadtest import (
         check_report,
         compare_serve_reports,
@@ -557,15 +558,20 @@ def _cmd_serve_loadtest(args) -> int:
         save_serve_report,
     )
 
-    report = run_load_test(
-        clients=args.load_test,
-        accesses=args.accesses,
-        seed=args.seed,
-        tenants=args.tenants,
-        workers=args.workers,
-        executor=args.executor,
-        progress=None if args.quiet else print,
-    )
+    try:
+        report = run_load_test(
+            clients=args.load_test,
+            accesses=args.accesses,
+            seed=args.seed,
+            tenants=args.tenants,
+            workers=args.workers,
+            executor=args.executor,
+            run_timeout=args.run_timeout,
+            progress=None if args.quiet else print,
+        )
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     out = save_serve_report(report, args.out)
     print(f"wrote {out}")
     problems = check_report(report)
@@ -679,8 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="worker processes for the simulation grid (default 1)",
+        default=os.cpu_count() or 1,
+        help="worker processes for the simulation grid (default: one per "
+        "CPU; output is identical for any value)",
     )
     figures.add_argument("--json", help="archive figure data to this JSON file")
     figures.add_argument("--svg-dir", help="render each figure as SVG into this directory")
@@ -937,7 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-timeout",
         type=float,
         default=None,
-        help="per-run wall-clock bound in seconds (needs --executor process)",
+        help="per-run wall-clock bound in seconds, for the server and "
+        "--load-test alike (needs --executor process)",
     )
     serve.add_argument(
         "--load-test",

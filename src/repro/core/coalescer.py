@@ -5,9 +5,10 @@ The coalescer sits between the shared LLC and the memory device.  It is
 driven trace-style: the LLC miss/write-back stream (already interleaved
 across cores) is pushed in cycle order via :meth:`MemoryCoalescer.push`
 and the coalescer emits :class:`IssuedRequest` records for every packet
-actually sent to the HMC.  A pluggable ``service_time`` callback maps a
-packet to its HMC round-trip in coalescer cycles, so the same engine
-runs against the full HMC device model or a fixed-latency stub.
+actually sent to the HMC (unless built with ``record_streams=False``).
+A pluggable ``service_time`` callback maps a packet to its HMC
+round-trip in coalescer cycles, so the same engine runs against the
+full HMC device model or a fixed-latency stub.
 
 Configuration degrees of freedom reproduce the paper's comparison axes:
 
@@ -115,7 +116,16 @@ class CoalescerStats:
 
 
 class MemoryCoalescer:
-    """Two-phase memory coalescer for HMC (the paper's contribution)."""
+    """Two-phase memory coalescer for HMC (the paper's contribution).
+
+    ``record_streams`` (keyword-only, default on) keeps the per-request
+    :attr:`issued` and :attr:`serviced` streams: one
+    :class:`IssuedRequest` per packet sent to the HMC and one
+    :class:`ServicedRequest` per LLC request whose data returned.
+    Callers that only read :meth:`stats` and the registry (the
+    simulation driver) pass ``False``; both streams then stay empty,
+    and every statistic, metric and timeline entry is unchanged.
+    """
 
     def __init__(
         self,
@@ -123,8 +133,11 @@ class MemoryCoalescer:
         service_time: Callable[..., int] | int = DEFAULT_SERVICE_CYCLES,
         registry: MetricsRegistry | None = None,
         mshr_factory: Callable[..., DynamicMSHRFile] | None = None,
+        *,
+        record_streams: bool = True,
     ):
         self.config = config or CoalescerConfig()
+        self.record_streams = record_streams
         self.registry = registry if registry is not None else NULL_REGISTRY
         if callable(service_time):
             import inspect
@@ -240,9 +253,11 @@ class MemoryCoalescer:
 
     def stats(self) -> CoalescerStats:
         """Current statistics snapshot."""
+        # Every issued packet, bypass included, allocates exactly one
+        # MSHR entry, so the allocation count is the issue count.
         return CoalescerStats(
             llc_requests=self._llc_requests,
-            hmc_requests=len(self.issued),
+            hmc_requests=self.mshrs.stats.allocated,
             bypassed_requests=self._bypassed,
             pipeline=self.pipeline.stats,
             dmc=self.dmc.stats,
@@ -259,7 +274,7 @@ class MemoryCoalescer:
         """
         registry = self.registry
         bypassed = self._bypassed
-        coalesced = len(self.issued) - bypassed
+        coalesced = self.mshrs.stats.allocated - bypassed
         llc = registry.counter(
             "coalescer_llc_requests_total",
             help="LLC miss/write-back requests entering the coalescer",
@@ -420,7 +435,10 @@ class MemoryCoalescer:
         return self.mshrs.merge_only(request)
 
     def _complete_up_to(self, cycle: int) -> None:
-        for entry in self.mshrs.pop_completions(cycle):
+        done = self.mshrs.pop_completions(cycle)
+        if not self.record_streams:
+            return
+        for entry in done:
             for sub in entry.subentries:
                 self.serviced.append(
                     ServicedRequest(sub.request, entry.complete_cycle)
@@ -434,6 +452,8 @@ class MemoryCoalescer:
         index: int,
         bypassed: bool,
     ) -> None:
+        if not self.record_streams:
+            return
         self.issued.append(
             IssuedRequest(
                 request=packet,

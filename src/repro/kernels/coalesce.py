@@ -36,10 +36,15 @@ the merge-while-full pass marks every queued request with the current
 deterministically records one offer + occupancy + rejection.  The
 kernel memoizes that terminal state as ``(head slot, alloc_gen,
 retire count)`` and replays repeats as three counter updates.  Any
-allocation, retirement or enqueue invalidates the memo.  The replay
-row loop goes one step further: a *run* of consecutive memo-hit
-drains has cycle-independent accounting, so the loop just counts them
-and flushes the whole run through :meth:`BatchedCoalescer.drain_hits_bulk`
+allocation or retirement invalidates the memo; an enqueue does not.
+A pushed packet lands behind the head, which stays checked clean
+with an empty allocation log, so the head's re-offer is still a
+rejection and the memo-hit drain only adds the merge-while-full pass
+that checks the fresh packet -- exactly what the full drain would
+do.  The replay row loop goes one step further: a *run* of
+consecutive memo-hit drains with nothing pushed in between has
+cycle-independent accounting, so the loop just counts them and
+flushes the whole run through :meth:`BatchedCoalescer.drain_hits_bulk`
 -- which re-verifies the memo (head identity, ``alloc_gen``, retire
 count) before applying the batch -- immediately before anything
 mutates CRQ/MSHR state.
@@ -55,10 +60,11 @@ Supporting machinery sharing the same digest boundary:
   index)`` min-heap instead of scanning the file; the row loop skips
   the completion call entirely while the heap's minimum is in the
   future (the object call is a no-op there).
-* **Deferred stream materialization.**  The digest-invisible
-  ``issued``/``serviced`` request streams accumulate as raw field
-  tuples during the run and materialize into their dataclasses once
-  in :meth:`BatchedCoalescer.finalize`, in append order.
+* **Streams only when asked.**  The digest-invisible
+  ``issued``/``serviced`` request streams are appended only when the
+  coalescer was built with ``record_streams=True``.  The driver builds
+  it with ``False``, so on its runs no record outlives its packet and
+  each request is freed when its MSHR entry retires.
 * **Kernel bypass.**  The Section 4.2 bypass check (empty CRQ, idle
   MSHRs, nothing mid-sort) is evaluated from kernel state, so
   bypassed packets take the same lean allocate/issue path.
@@ -193,7 +199,7 @@ class BatchedCoalescer:
     ``flush`` internals inside the vector replay loop.  Structural
     state and statistics live in the wrapped components (see the module
     docstring); :meth:`finish` retires the run at end of trace and
-    :meth:`finalize` materializes the deferred request streams.
+    :meth:`finalize` finishes the HMC back end's accounting.
     """
 
     def __init__(
@@ -210,8 +216,11 @@ class BatchedCoalescer:
         self._depth = coalescer.crq.depth
         self._timeline = coalescer.registry.timeline
         self._service_time = coalescer.service_time_for
-        self._issued = coalescer.issued
-        self._serviced = coalescer.serviced
+        # The per-request streams, or ``None`` when the coalescer does
+        # not record them.
+        streams = coalescer.record_streams
+        self._issued = coalescer.issued if streams else None
+        self._serviced = coalescer.serviced if streams else None
         self._coalescing = config.enable_mshr_coalescing
         self._adaptive = config.adaptive_granularity
         self._line_size = config.line_size
@@ -231,6 +240,9 @@ class BatchedCoalescer:
         #: never gain lines after allocation), so the steady-state pass
         #: is a probe of the log entries' lines against
         #: ``_queue_index`` instead of a scan of every queued request.
+        #: Without MSHR coalescing nothing probes, so nothing is logged
+        #: (and the MSHR file's line index, which only the overlap
+        #: search reads, is not maintained either).
         self._alloc_log: list = []
         #: ``(type, line) -> [slot, ...]`` over queued requests whose
         #: last full overlap check found nothing (the check's result
@@ -270,13 +282,6 @@ class BatchedCoalescer:
         self._fill_counts = coalescer.crq._fill_counts
         self._merge_dist = coalescer.dmc._merge_distance_counts
         self._packet_lines = coalescer.dmc.stats.packets_by_lines
-        # Deferred stream materialization: the issued/serviced record
-        # objects are built at finalize from these field tuples, in
-        # append order, so the hot loop pays a tuple append instead of
-        # a dataclass construction.  Nothing reads either stream until
-        # after the run (snapshot_stats / the differential tests).
-        self._raw_issued: list[tuple] = []
-        self._raw_serviced: list[tuple] = []
 
         # Batched HMC back end: when the service-time closure
         # advertises a pristine stock device stack, allocations take
@@ -305,10 +310,10 @@ class BatchedCoalescer:
             return
         m = self._mshrs
         entries = m.entries
-        serviced_append = self._raw_serviced.append
+        serviced = self._serviced
         d_subs = self._entry_subs
         free_heap = m._free_heap
-        line_index = m._line_index
+        line_index = m._line_index if self._coalescing else None
         line_size = m._line_size
         first = heappop(heap)
         if heap and heap[0][0] <= cycle:
@@ -321,36 +326,38 @@ class BatchedCoalescer:
         for cc, idx in due:
             entry = entries[idx]
             subs = entry.subentries
-            for req in subs:
-                serviced_append((req, cc))
+            if serviced is not None:
+                for req in subs:
+                    serviced.append(ServicedRequest(req, cc))
             # Lean twin of ``DynamicMSHRFile._retire`` (valid flag,
             # free heap, line-index unwind; the valid count is batched
             # below -- nothing in this loop reads it).
             entry.valid = False
             heappush(free_heap, idx)
-            t = int(entry.rtype)
-            base = entry.addr // line_size
-            num_lines = entry.num_lines
-            if num_lines == 1:
-                key = (t, base)
-                bucket = line_index.get(key)
-                if bucket is not None:
-                    try:
-                        bucket.remove(entry)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del line_index[key]
-            else:
-                for line in range(base, base + num_lines):
-                    bucket = line_index.get((t, line))
+            if line_index is not None:
+                t = int(entry.rtype)
+                base = entry.addr // line_size
+                num_lines = entry.num_lines
+                if num_lines == 1:
+                    key = (t, base)
+                    bucket = line_index.get(key)
                     if bucket is not None:
                         try:
                             bucket.remove(entry)
                         except ValueError:
                             pass
                         if not bucket:
-                            del line_index[(t, line)]
+                            del line_index[key]
+                else:
+                    for line in range(base, base + num_lines):
+                        bucket = line_index.get((t, line))
+                        if bucket is not None:
+                            try:
+                                bucket.remove(entry)
+                            except ValueError:
+                                pass
+                            if not bucket:
+                                del line_index[(t, line)]
             n_subs = len(subs)
             d_subs[n_subs] = d_subs.get(n_subs, 0) + 1
             entry.subentries = []
@@ -366,7 +373,8 @@ class BatchedCoalescer:
 
         A memoized no-progress drain (head unchanged, no allocation or
         retirement since) replays as the deterministic offer/reject
-        accounting it would produce -- or as a pure no-op for a fence
+        accounting it would produce, plus the merge-while-full pass
+        over packets pushed since -- or as a pure no-op for a fence
         head blocked on busy MSHRs.
         """
         memo = self._memo
@@ -386,6 +394,14 @@ class BatchedCoalescer:
                     d_occ = self._occupancy
                     d_occ[occ] = d_occ.get(occ, 0) + 1
                     mstats.rejected_full += 1
+                    # The full drain would end exactly here: the head
+                    # is checked clean and the allocation log is empty
+                    # (no allocation since the pass that set the memo),
+                    # so its re-offer can only be rejected.  What is
+                    # left is that drain's merge pass, which only has
+                    # work when pushes added unchecked packets.
+                    if self._unchecked and self._coalescing:
+                        self._merge_waiting_pass()
                 return
             self._memo = None
         self._drain_full(cycle)
@@ -436,7 +452,7 @@ class BatchedCoalescer:
         probe_log = self._probe_log
         free_heap = m._free_heap
         alloc_entry = self._alloc_entry
-        issued_append = self._raw_issued.append
+        issued = self._issued
         while slots:
             slot = slots[0]
             head = slot.request
@@ -515,9 +531,12 @@ class BatchedCoalescer:
                 # Coalesced-path allocation: shared core plus the
                 # issue record (inlined -- this is the one call site).
                 entry = alloc_entry(head, at)
-                issued_append(
-                    (head, at, entry.complete_cycle, entry.index, False)
-                )
+                if issued is not None:
+                    issued.append(
+                        IssuedRequest(
+                            head, at, entry.complete_cycle, entry.index
+                        )
+                    )
                 if sid in unchecked:
                     del unchecked[sid]
                 elif coalescing:
@@ -790,24 +809,25 @@ class BatchedCoalescer:
             complete = hmc.service(request, at)
         entry.complete_cycle = complete
         m._valid_count += 1
-        index = m._line_index
-        t = int(request.rtype)
-        if num_lines == 1:
-            key = (t, base)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [entry]
-            else:
-                bucket.append(entry)
-        else:
-            for line in range(base, base + num_lines):
-                bucket = index.get((t, line))
+        if self._coalescing:
+            index = m._line_index
+            t = int(request.rtype)
+            if num_lines == 1:
+                key = (t, base)
+                bucket = index.get(key)
                 if bucket is None:
-                    index[(t, line)] = [entry]
+                    index[key] = [entry]
                 else:
                     bucket.append(entry)
+            else:
+                for line in range(base, base + num_lines):
+                    bucket = index.get((t, line))
+                    if bucket is None:
+                        index[(t, line)] = [entry]
+                    else:
+                        bucket.append(entry)
+            self._alloc_log.append(entry)
         m.alloc_gen += 1
-        self._alloc_log.append(entry)
         heappush(self._c_heap, (complete, entry.index))
         mstats = self._mstats
         mstats.allocated += 1
@@ -838,9 +858,12 @@ class BatchedCoalescer:
         entry = self._alloc_entry(packet, cycle)
         self._coalescer._bypassed += 1
         self._timeline.record(cycle, "coalescer", "bypass")
-        self._raw_issued.append(
-            (packet, cycle, entry.complete_cycle, entry.index, True)
-        )
+        if self._issued is not None:
+            self._issued.append(
+                IssuedRequest(
+                    packet, cycle, entry.complete_cycle, entry.index, True
+                )
+            )
 
     def _shrink(self, packet: CoalescedRequest) -> None:
         if (
@@ -858,7 +881,12 @@ class BatchedCoalescer:
     # -- enqueue ------------------------------------------------------------
 
     def enqueue(self, packet: CoalescedRequest, cycle: int) -> None:
-        """Lean twin of ``MemoryCoalescer._enqueue_packet`` + CRQ push."""
+        """Lean twin of ``MemoryCoalescer._enqueue_packet`` + CRQ push.
+
+        The push keeps the drain memo: a fresh packet joins
+        ``_unchecked``, and a memo-hit drain runs the merge pass that
+        checks it (see :meth:`drain`).
+        """
         slots = self._slots
         depth_limit = self._depth
         heap = self._c_heap
@@ -869,9 +897,6 @@ class BatchedCoalescer:
                 slot = _Slot(packet, cycle)
                 slots.append(slot)
                 self._unchecked[id(slot)] = slot
-                # A fresh packet can merge where the memoized pass
-                # found nothing: the next drain must run in full.
-                self._memo = None
                 cstats = self._cstats
                 cstats.pushes += 1
                 depth = len(slots)
@@ -908,8 +933,7 @@ class BatchedCoalescer:
         """Lean twin of the non-DMC branch of ``MemoryCoalescer.push``.
 
         Without the DMC unit each LLC request becomes one single-line
-        packet, offered to the CRQ and drained at once.  The enqueue
-        always clears the drain memo, so the drain runs in full.
+        packet, offered to the CRQ and drained at once.
         """
         self.enqueue(
             CoalescedRequest(
@@ -921,7 +945,7 @@ class BatchedCoalescer:
             ),
             cycle,
         )
-        self._drain_full(cycle)
+        self.drain(cycle)
 
     # -- sequence handling ---------------------------------------------------
 
@@ -956,7 +980,6 @@ class BatchedCoalescer:
             slot = _Slot(packet, done_cycle)
             slots.append(slot)
             unchecked[id(slot)] = slot
-            self._memo = None
             cstats.pushes += 1
             depth = len(slots)
             if depth > cstats.max_occupancy:
@@ -1098,21 +1121,9 @@ class BatchedCoalescer:
         self.finalize()
 
     def finalize(self) -> None:
-        """Materialize the deferred request streams and finish the HMC
-        back end's accounting.  Idempotent.
-        """
+        """Finish the HMC back end's accounting.  Idempotent."""
         if self._finalized:
             return
         self._finalized = True
-        # Materialize the issued/serviced streams (deferred as field
-        # tuples by the hot loop) in their original append order.
-        issued = self._issued
-        for req, at, complete, index, bypassed in self._raw_issued:
-            issued.append(IssuedRequest(req, at, complete, index, bypassed))
-        self._raw_issued.clear()
-        serviced = self._serviced
-        for req, cc in self._raw_serviced:
-            serviced.append(ServicedRequest(req, cc))
-        self._raw_serviced.clear()
         if self._hmc is not None:
             self._hmc.finalize()

@@ -86,7 +86,11 @@ def vector_replay(
     """Feed a captured trace into ``coalescer``; return the last cycle.
 
     Drop-in replacement for :func:`repro.trace.replay.replay_trace`
-    with identical observable behaviour.  With a ``profiler``, column
+    with digest-identical results: the same stats, registry series and
+    timeline, and, when the coalescer records them, the same issued and
+    serviced streams in the same order.  Requests are built as their
+    flush span (or bypass) needs them, so their ``request_id`` values
+    follow flush order rather than row order.  With a ``profiler``, column
     precomputation is charged to the ``trace`` phase, the main loop to
     ``coalesce`` and the end-of-trace retire to ``flush`` (the same
     phase names the object path uses, at coarser grain).
@@ -105,7 +109,8 @@ def vector_replay(
     mark = clock()
 
     cache, decoded = _decoded_columns(buffer)
-    cycles_l, addrs_l, flags_l, sizes_l, requested_l, keys_np, keys_l = decoded
+    cycles_l, _, flags_l, _, _, keys_np, keys_l = decoded
+    request_at = _request_builder(decoded)
     n = len(cycles_l)
 
     pipeline = coalescer.pipeline
@@ -146,25 +151,6 @@ def vector_replay(
 
         def dispatch(seq, spans=None, _handle=handle):
             _handle(seq)
-
-    # Request materialization, like the column decode it feeds on, is
-    # trace-phase work (the object loop also builds each row's request
-    # during its decode step, outside the per-push charge).  Fence rows
-    # never materialize.
-    requests_all: list[MemoryRequest | None] = [
-        None
-        if flags_l[j] & _TYPE_MASK == _FENCE_CODE
-        else MemoryRequest(
-            addr=addrs_l[j],
-            rtype=_STORE if flags_l[j] & 0b01 else _LOAD,
-            size=sizes_l[j],
-            requested_bytes=requested_l[j],
-            # Pre-seed the line memo (addr >> 6 == addr // 64 for the
-            # nonnegative line-aligned addresses the buffer holds).
-            _line=addrs_l[j] >> 6,
-        )
-        for j in range(n)
-    ]
 
     span: list[int] = []
     first = 0
@@ -302,7 +288,9 @@ def vector_replay(
             perm = plan_perms[0]
             spans = plan_spans[0]
         count = len(span)
-        requests = [requests_all[span[p]] for p in perm]
+        # The span's requests are built as it flushes, so each lives
+        # only as long as the packets and MSHR entries holding it.
+        requests = [request_at(span[p]) for p in perm]
         seq = emit_sorted(
             requests,
             count=count,
@@ -367,10 +355,10 @@ def vector_replay(
                 drain_bulk(pending)
                 pending = 0
             if kernel is not None:
-                kernel.bypass(requests_all[i], c)
+                kernel.bypass(request_at(i), c)
                 stale = True
             else:
-                coalescer._bypass(requests_all[i], c)
+                coalescer._bypass(request_at(i), c)
             continue
         if span and c - first >= timeout:
             if pending:
@@ -480,6 +468,30 @@ def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
     return cache, decoded
 
 
+def _request_builder(decoded: tuple):
+    """``j -> MemoryRequest`` over the decoded columns' non-fence rows.
+
+    Every call builds a fresh request: the coalescer keeps pushed
+    requests in packet constituents and MSHR subentries, so no two
+    pushes may share one.
+    """
+    addrs_l, flags_l, sizes_l, requested_l = decoded[1:5]
+
+    def request_at(j: int) -> MemoryRequest:
+        addr = addrs_l[j]
+        return MemoryRequest(
+            addr=addr,
+            rtype=_STORE if flags_l[j] & 0b01 else _LOAD,
+            size=sizes_l[j],
+            requested_bytes=requested_l[j],
+            # Pre-seed the line memo (addr >> 6 == addr // 64 for the
+            # nonnegative line-aligned addresses the buffer holds).
+            _line=addr >> 6,
+        )
+
+    return request_at
+
+
 def _replay_single_lines(
     buffer: TraceBuffer,
     coalescer: MemoryCoalescer,
@@ -498,7 +510,8 @@ def _replay_single_lines(
     mark = clock()
 
     cache, decoded = _decoded_columns(buffer)
-    cycles_l, addrs_l, flags_l, sizes_l, requested_l = decoded[:5]
+    cycles_l, _, flags_l = decoded[:3]
+    request_at = _request_builder(decoded)
     kernel = BatchedCoalescer(coalescer, replay_cache=cache)
     COUNTERS.engaged += 1
     pipeline = coalescer.pipeline
@@ -530,14 +543,7 @@ def _replay_single_lines(
             kernel.drain(c)
             continue
         llc_count += 1
-        addr = addrs_l[i]
-        request = MemoryRequest(
-            addr=addr,
-            rtype=_STORE if f & 0b01 else _LOAD,
-            size=sizes_l[i],
-            requested_bytes=requested_l[i],
-            _line=addr >> 6,
-        )
+        request = request_at(i)
         if can_bypass(c):
             kernel.bypass(request, c)
         else:

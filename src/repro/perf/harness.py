@@ -88,6 +88,10 @@ class CaseResult:
     #: in which case neither ``cells`` nor ``cells_per_second`` appears
     #: in the report -- old baselines stay comparable).
     cells: int = 0
+    #: Worker processes the sweep actually ran, after the CPU-count
+    #: clamp (sweep kinds only; 0 elsewhere and then not reported).
+    #: Throughput is only comparable between equal worker counts.
+    effective_jobs: int = 0
 
     @property
     def requests_per_second(self) -> float:
@@ -130,6 +134,11 @@ class CaseResult:
             **(
                 {"cells": self.cells, "cells_per_second": self.cells_per_second}
                 if self.cells
+                else {}
+            ),
+            **(
+                {"effective_jobs": self.effective_jobs}
+                if self.effective_jobs
                 else {}
             ),
         }
@@ -292,7 +301,10 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
                 trace_store=seed_store,
             )
 
+    effective_jobs = 0
+
     def attempt(profiler: PhaseProfiler | None):
+        nonlocal effective_jobs
         if kind in SWEEP_KINDS:
             # Checkpoints go to run_sweep's own temp dir (discarded per
             # attempt).
@@ -311,6 +323,7 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
                     f"sweep perf case {case.name} had failures: "
                     + ", ".join(f.key.label for f in sweep.failures)
                 )
+            effective_jobs = sweep.metadata["effective_jobs"]
             return list(sweep.results.values())
         if kind == "sim":
             return [
@@ -491,6 +504,7 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
         ),
         kernel=kernel_stats,
         cells=len(best_results) if kind in SWEEP_KINDS else 0,
+        effective_jobs=effective_jobs,
     )
 
 
@@ -674,6 +688,9 @@ class CaseComparison:
     ratio: float  # normalized current / baseline throughput; <1 is slower
     regressed: bool
     digest_match: bool | None  # None when params differ (not comparable)
+    #: False when the two runs used different worker counts; the
+    #: throughput is then not gated (``regressed`` stays False).
+    throughput_comparable: bool = True
 
 
 def compare_reports(
@@ -682,10 +699,13 @@ def compare_reports(
     """Compare two reports case by case.
 
     A case regresses when its calibration-normalized throughput drops
-    by more than ``threshold`` relative to the baseline.  Digests are
-    compared whenever the simulation parameters match, regardless of
-    speed: a mismatch means behaviour changed, which the perf gate
-    treats as a failure in its own right.
+    by more than ``threshold`` relative to the baseline.  Throughput is
+    only gated between runs with the same ``effective_jobs`` (sweep
+    cases record how many workers actually ran after the CPU-count
+    clamp); a case recorded with another worker count is reported as
+    not comparable.  Digests are compared whenever the simulation
+    parameters match, regardless of speed: a mismatch means behaviour
+    changed, which the perf gate treats as a failure in its own right.
     """
     out: list[CaseComparison] = []
     params = (
@@ -709,14 +729,16 @@ def compare_reports(
         digest_match = (
             (base.get("digest") == cur.get("digest")) if same_params else None
         )
+        comparable = base.get("effective_jobs") == cur.get("effective_jobs")
         out.append(
             CaseComparison(
                 name=name,
                 current_wall=cur.get("wall_seconds", 0.0),
                 baseline_wall=base.get("wall_seconds", 0.0),
                 ratio=ratio,
-                regressed=ratio < 1.0 - threshold,
+                regressed=comparable and ratio < 1.0 - threshold,
                 digest_match=digest_match,
+                throughput_comparable=comparable,
             )
         )
     return out

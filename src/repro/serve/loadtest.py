@@ -155,6 +155,7 @@ def run_load_test(
     tenants: int = 32,
     workers: int = 4,
     executor: str = "thread",
+    run_timeout: float | None = None,
     ramp_seconds: float = 0.5,
     verify_direct: bool = True,
     progress=None,
@@ -166,7 +167,9 @@ def run_load_test(
     never exhausts it (throttled submissions retry and count in the
     report, they are not errors).  ``verify_direct=True`` additionally
     runs every distinct config through a fresh local Session and
-    cross-checks the served digests.
+    cross-checks the served digests.  ``run_timeout`` bounds each run
+    as in the server (it needs ``executor="process"``; the scheduler
+    raises :class:`~repro.errors.ConfigError` otherwise).
     """
 
     def say(msg: str) -> None:
@@ -182,6 +185,7 @@ def run_load_test(
         queue_limit=max(64, distinct * 2),
         tenant_quota=quota,
         executor=executor,
+        run_timeout=run_timeout,
     )
     say(
         f"load test: {clients} clients over {distinct} distinct configs, "

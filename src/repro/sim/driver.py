@@ -466,10 +466,13 @@ def _replay_benchmark(
     def build_stack():
         registry = MetricsRegistry()
         device = HMCDevice(platform.hmc, registry)
+        # Results read the coalescer's stats and registry only, so the
+        # per-request streams are not recorded.
         coal = MemoryCoalescer(
             platform.coalescer,
             service_time=_make_service_time(device, platform.cycle_ns),
             registry=registry,
+            record_streams=False,
         )
         return registry, device, coal
 
@@ -611,6 +614,7 @@ def run_benchmark(
         platform.coalescer,
         service_time=_make_service_time(device, platform.cycle_ns),
         registry=registry,
+        record_streams=False,
     )
 
     records: Iterable[TraceRecord] = tracer.trace(workload.accesses(platform.accesses))

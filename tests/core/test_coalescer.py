@@ -223,8 +223,9 @@ class TestBackPressure:
     def test_stats_consistency(self):
         c = run([load(i % 40) for i in range(300)], gap=1)
         s = c.stats()
-        # Every issued packet allocated an entry (bypass included).
-        assert s.hmc_requests == s.mshr.allocated
+        # hmc_requests counts MSHR allocations; the issued stream is an
+        # independent tally of the same packets (bypass included).
+        assert s.hmc_requests == len(c.issued)
         assert s.requests_eliminated >= 0
         assert 0 <= s.coalescing_efficiency <= 1
 

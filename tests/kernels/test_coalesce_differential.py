@@ -24,15 +24,18 @@ regimes the merge-plan join has to get right:
 A forced mid-run verification miss checks the fallback contract, with
 and without the DMC unit: the partially-mutated stack is discarded,
 the object engine re-runs, and the result is still bit-identical (one
-fallback counter tick).
+fallback counter tick).  Without MSHR coalescing the kernel must keep
+no overlap-search state at all.
 """
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import (
+    DMC_ONLY_CONFIG,
     MSHR_ONLY_CONFIG,
     UNCOALESCED_CONFIG,
     CoalescerConfig,
@@ -228,3 +231,36 @@ def test_verification_miss_falls_back_to_object_engine(monkeypatch):
             == before["fallback_reasons"].get("forced-test-miss", 0) + 1
         )
         assert result_digest(vec) == result_digest(obj)
+
+
+@pytest.mark.parametrize(
+    "coalescer",
+    (UNCOALESCED_CONFIG, DMC_ONLY_CONFIG),
+    ids=("uncoalesced", "dmc_only"),
+)
+def test_no_overlap_state_without_mshr_coalescing(monkeypatch, coalescer):
+    """Without MSHR coalescing nothing searches for overlaps, so the
+    kernel keeps neither the allocation log nor the MSHR line index:
+    both stay empty while entries are still in flight at end of trace."""
+    from repro.kernels import replay as replay_module
+    from repro.kernels.coalesce import BatchedCoalescer
+
+    seen: list[tuple[int, int, int]] = []
+
+    class Watched(BatchedCoalescer):
+        def finish(self, cycle):
+            m = self._mshrs
+            log, index = self._alloc_log, m._line_index
+            seen.append((m._valid_count, len(log), len(index)))
+            super().finish(cycle)
+
+    monkeypatch.setattr(replay_module, "BatchedCoalescer", Watched)
+    run_benchmark(
+        "SG",
+        platform=PlatformConfig(accesses=2000),
+        coalescer=coalescer,
+        engine="vector",
+    )
+    [(in_flight, logged, indexed)] = seen
+    assert in_flight > 0
+    assert (logged, indexed) == (0, 0)

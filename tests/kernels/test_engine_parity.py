@@ -6,7 +6,9 @@ compare full-run :func:`result_digest` values -- the serialized result
 plus every metric value -- across engines, per coalescer config, against
 pinned absolute digests for every benchmark x figure config, and
 across the trace store in both capture/replay directions, plus raw
-trace-buffer bytes for the capture kernel on its own.
+trace-buffer bytes for the capture kernel on its own.  Whether a
+coalescer records its per-request streams is an execution concern
+too: it must not change a stat or a metric on either engine.
 """
 
 from dataclasses import replace
@@ -15,15 +17,19 @@ import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.tracer import MemoryTracer
+from repro.core.coalescer import MemoryCoalescer
 from repro.core.request import Access, RequestType
+from repro.hmc.device import HMCDevice
 from repro.kernels import coalesce as coalesce_kernel
 from repro.kernels import hmc as hmc_kernel
 from repro.kernels import resolve_engine
 from repro.kernels.capture import batch_capture, supports_vector_capture
+from repro.kernels.replay import vector_replay
+from repro.obs import MetricsRegistry
 from repro.perf.digest import result_digest
-from repro.sim.driver import PlatformConfig, run_benchmark
+from repro.sim.driver import PlatformConfig, _make_service_time, run_benchmark
 from repro.sim.sweep import FIGURE_CONFIGS
-from repro.trace import TraceBuffer, TraceStore
+from repro.trace import TraceBuffer, TraceStore, replay_trace, trace_key
 from repro.workloads import BENCHMARKS, get_workload
 from repro.workloads.base import Workload
 
@@ -180,6 +186,58 @@ def test_store_interplay_across_engines(tmp_path, capture_engine, replay_engine)
     )
     assert store.misses == 1 and store.hits == 1
     assert result_digest(captured) == result_digest(replayed)
+
+
+_STREAM_BENCHES = ("SG", "FT", "STREAM")
+
+
+@pytest.fixture(scope="module")
+def stored_traces():
+    """One stored 2000-access capture per benchmark, shared by configs."""
+    platform = PlatformConfig(accesses=2000)
+    store = TraceStore()
+    for bench in _STREAM_BENCHES:
+        run_benchmark(bench, platform=platform, trace_store=store)
+    return platform, {
+        bench: store.get(trace_key(bench, platform)) for bench in _STREAM_BENCHES
+    }
+
+
+@pytest.mark.parametrize("engine", ("object", "vector"))
+@pytest.mark.parametrize("config", tuple(FIGURE_CONFIGS))
+@pytest.mark.parametrize("bench", _STREAM_BENCHES)
+def test_stream_recording_changes_no_stat_or_metric(
+    stored_traces, bench, config, engine
+):
+    """``record_streams`` only decides whether the per-request streams
+    are kept: a recording and a non-recording stack replaying one trace
+    report equal stats and registries, on either engine."""
+    platform, buffers = stored_traces
+    replay = vector_replay if engine == "vector" else replay_trace
+
+    def replayed(record: bool):
+        registry = MetricsRegistry()
+        device = HMCDevice(platform.hmc, registry)
+        coal = MemoryCoalescer(
+            FIGURE_CONFIGS[config],
+            service_time=_make_service_time(device, platform.cycle_ns),
+            registry=registry,
+            record_streams=record,
+        )
+        replay(buffers[bench], coalescer=coal)
+        coal.publish_metrics()
+        device.apply_deferred_metrics()
+        return coal, device, registry
+
+    rec, rec_device, rec_registry = replayed(True)
+    bare, bare_device, bare_registry = replayed(False)
+    stats = rec.stats()
+    assert bare.stats() == stats
+    assert bare_device.stats == rec_device.stats
+    assert bare_registry.as_flat_dict() == rec_registry.as_flat_dict()
+    assert bare.issued == [] and bare.serviced == []
+    assert len(rec.issued) == stats.hmc_requests
+    assert len(rec.serviced) == stats.llc_requests
 
 
 def test_prefetch_platforms_fall_back_to_the_object_path():

@@ -139,3 +139,24 @@ def test_compare_skips_digest_when_params_differ():
 def test_compare_ignores_cases_missing_from_current():
     comparisons = compare_reports({"schema": SCHEMA, "cases": {}}, _fake_report(100.0))
     assert comparisons == []
+
+
+def test_compare_gates_throughput_only_between_equal_worker_counts():
+    def sweep_report(norm: float, effective_jobs: int) -> dict:
+        report = _fake_report(norm)
+        report["cases"]["SG/combined@6000"].update(
+            kind="sweep_throughput", jobs=4, effective_jobs=effective_jobs
+        )
+        return report
+
+    same = compare_reports(sweep_report(50.0, 2), sweep_report(100.0, 2))
+    assert [(c.regressed, c.throughput_comparable) for c in same] == [
+        (True, True)
+    ]
+    # A baseline recorded where the four requested workers were clamped
+    # to one says nothing about a two-worker run: not gated, either way,
+    # while the digests are still compared.
+    other = compare_reports(sweep_report(50.0, 2), sweep_report(100.0, 1))
+    assert [
+        (c.regressed, c.throughput_comparable, c.digest_match) for c in other
+    ] == [(False, False, True)]

@@ -4,7 +4,9 @@ Each stage counts its events once, in its ``*Stats`` dataclass (plus
 small tallies), and its publish method writes the registry series from
 those counts at the end of the run.  These tests run one real
 benchmark and check every series against its ``*Stats`` field, which
-catches a publish method that drifts from the stats it exports.
+catches a publish method that drifts from the stats it exports, and
+check request conservation from those counts on every figure-grid
+cell, on both engines.
 """
 
 import json
@@ -14,6 +16,8 @@ import pytest
 from repro.obs import MetricsRegistry, PhaseProfiler
 from repro.obs.export import registry_from_json_lines, registry_to_json_lines
 from repro.sim.driver import PlatformConfig, run_benchmark
+from repro.sim.sweep import FIGURE_CONFIGS
+from repro.workloads import BENCHMARKS
 
 SMALL = PlatformConfig(accesses=6_000)
 
@@ -162,18 +166,42 @@ class TestRegistryAgreesWithLegacyStats:
         )
         assert reg.gauge("sim_trace_cycles").value() == result.trace_cycles
 
-    def test_conservation_across_stages(self, result, reg):
-        # Every request entering the coalescer leaves as a bypass or a
-        # sorted request; every HMC packet came from the coalescer.
-        assert (
-            reg.counter("coalescer_llc_requests_total").total()
-            == reg.counter("coalescer_bypass_total").total()
-            + reg.counter("sorter_requests_total").total()
-        )
-        assert (
-            reg.counter("coalescer_hmc_requests_total").total()
-            == reg.counter("hmc_requests_total").total()
-        )
+
+@pytest.mark.parametrize("engine", ("vector", "object"))
+@pytest.mark.parametrize("config", tuple(FIGURE_CONFIGS))
+@pytest.mark.parametrize("bench", tuple(BENCHMARKS))
+def test_conservation_across_stages(bench, config, engine):
+    """Request conservation on every figure-grid cell, from the run's
+    own counts (no per-request stream needed)."""
+    coalescer = FIGURE_CONFIGS[config]
+    result = run_benchmark(
+        bench,
+        platform=PlatformConfig(accesses=2_000),
+        coalescer=coalescer,
+        engine=engine,
+    )
+    reg = result.metrics
+    # Every request entering the coalescer leaves as a bypass or enters
+    # the next stage: the sorter behind the DMC unit, else the CRQ as a
+    # single-line packet.
+    next_stage = (
+        "sorter_requests_total" if coalescer.enable_dmc else "crq_pushes_total"
+    )
+    assert (
+        reg.counter("coalescer_llc_requests_total").total()
+        == reg.counter("coalescer_bypass_total").total()
+        + reg.counter(next_stage).total()
+    )
+    # Every HMC packet came from the coalescer.
+    assert (
+        reg.counter("coalescer_hmc_requests_total").total()
+        == reg.counter("hmc_requests_total").total()
+    )
+    # Every LLC request waits in exactly one MSHR subentry, and every
+    # issued packet holds one entry, which retires once.
+    mshr = result.coalescer.mshr
+    assert mshr.subentries_added == result.coalescer.llc_requests
+    assert mshr.completions == mshr.allocated == result.hmc.requests
 
 
 class TestTimelineAndExport:

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -119,6 +121,15 @@ class TestCommands:
         assert main(["serve", "--run-timeout", "60"]) == 2
         assert "run_timeout" in capsys.readouterr().err
 
+    def test_serve_load_test_run_timeout_needs_process_executor(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "serve.json"
+        argv = ["serve", "--load-test", "1", "--run-timeout", "0.5"]
+        assert main(argv + ["--out", str(out), "--quiet"]) == 2
+        assert "run_timeout needs executor='process'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     ARGS = [
@@ -182,6 +193,9 @@ class TestSweepCommand:
     def test_figures_jobs_flag_parses(self):
         args = build_parser().parse_args(["figures", "--jobs", "3"])
         assert args.jobs == 3
+        # Without the flag, figures use every core.
+        args = build_parser().parse_args(["figures"])
+        assert args.jobs == (os.cpu_count() or 1)
 
 
 class TestTraceStoreCommands:
