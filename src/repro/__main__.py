@@ -410,7 +410,11 @@ def _update_baseline(report: dict, args) -> int:
     with identical parameters but produced a *different* result
     digest, refuse to overwrite (behaviour changed, which a baseline
     refresh must not paper over) unless ``--force``.  Cases only in
-    the old baseline are kept, so suites can update independently.
+    the old baseline are kept, so suites can update independently, and
+    so are the file's top-level fields (suite, repeats, calibration):
+    a filtered re-record of a few cases does not describe the rest.
+    Each case records its own repeats and calibration-normalized
+    throughput.
     """
     from repro.perf import compare_reports, derive_speedups, load_report, save_report
 
@@ -433,7 +437,7 @@ def _update_baseline(report: dict, args) -> int:
             return 1
         cases = dict(baseline.get("cases", {}))
         cases.update(report["cases"])
-        merged = {**report, "cases": cases}
+        merged = {**report, **baseline, "cases": cases}
         derived = derive_speedups(cases)
         merged.pop("derived", None)
         if derived:

@@ -34,6 +34,8 @@ from repro.core.address import (
 
 _access_ids = itertools.count()
 _request_ids = itertools.count()
+_new = object.__new__
+_LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 
 
 class RequestType(enum.IntEnum):
@@ -101,6 +103,10 @@ class MemoryRequest:
     ``requested_bytes`` records how many bytes the originating core
     accesses actually asked for, which is what the paper's bandwidth
     efficiency metric (Equation 1) counts as *requested data*.
+
+    ``line`` is the cache-line number, set once at construction:
+    ``addr`` is frozen by convention once the request exists, and the
+    merge machinery reads ``line`` several times per request.
     """
 
     addr: int
@@ -113,11 +119,8 @@ class MemoryRequest:
     #: Memoized extended sort key (-1 = not yet computed).  Keys are
     #: nonnegative, so -1 is a safe sentinel.
     _sort_key: int = field(default=-1, repr=False, compare=False)
-    #: Memoized cache-line number (-1 = not yet computed).  ``addr``
-    #: is frozen by convention once the request enters the coalescer,
-    #: and the merge machinery reads ``line`` several times per
-    #: request.
-    _line: int = field(default=-1, repr=False, compare=False)
+    #: Cache-line number of ``addr``.
+    line: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rtype is not RequestType.FENCE:
@@ -131,6 +134,33 @@ class MemoryRequest:
                     )
             if self.requested_bytes <= 0:
                 self.requested_bytes = self.size
+        self.line = self.addr // CACHE_LINE_SIZE
+
+    @classmethod
+    def from_trace_row(
+        cls, addr: int, rtype: RequestType, size: int, requested_bytes: int
+    ) -> MemoryRequest:
+        """Build a request from one validated trace row, unchecked.
+
+        Skips ``__init__`` and ``__post_init__``.  The caller guarantees
+        what they would check or normalize: ``rtype`` is a load or a
+        store, ``addr`` is nonnegative and line-aligned, and
+        ``requested_bytes`` is already normalized (a row that recorded
+        none carries its ``size``).  The vector replay engine checks
+        whole trace columns once at decode, then builds every request
+        through here.
+        """
+        self = _new(cls)
+        self.addr = addr
+        self.rtype = rtype
+        self.size = size
+        self.requested_bytes = requested_bytes
+        self.targets = []
+        self.issue_cycle = 0
+        self.request_id = next(_request_ids)
+        self._sort_key = -1
+        self.line = addr >> _LINE_SHIFT
+        return self
 
     @property
     def is_store(self) -> bool:
@@ -139,14 +169,6 @@ class MemoryRequest:
     @property
     def is_fence(self) -> bool:
         return self.rtype is RequestType.FENCE
-
-    @property
-    def line(self) -> int:
-        """Cache-line number of the request (memoized)."""
-        line = self._line
-        if line < 0:
-            line = self._line = self.addr // CACHE_LINE_SIZE
-        return line
 
     def sort_key(self) -> int:
         """Extended 54-bit key used by the request sorting network.
@@ -195,7 +217,9 @@ class CoalescedRequest:
     #: the generation advances).
     merge_checked_gen: int = field(default=-1, repr=False, compare=False)
     #: Memoized constituent byte total (-1 = not yet computed).  The
-    #: constituent list is fixed at construction; the service-time and
+    #: constituent list is fixed while the packet waits to issue (an
+    #: MSHR entry that takes the list over may grow it later, when
+    #: nothing reads the packet); the service-time and
     #: adaptive-granularity paths both read the total.
     _requested_bytes: int = field(default=-1, repr=False, compare=False)
 
@@ -208,6 +232,38 @@ class CoalescedRequest:
             )
         if self.addr % CACHE_LINE_SIZE:
             raise ValueError("coalesced request address must be line aligned")
+
+    @classmethod
+    def from_aligned_span(
+        cls,
+        addr: int,
+        num_lines: int,
+        rtype: RequestType,
+        constituents: list[MemoryRequest],
+        issue_cycle: int,
+    ) -> CoalescedRequest:
+        """Build a packet over an aligned line span, unchecked.
+
+        Skips ``__init__`` and ``__post_init__``.  The caller guarantees
+        what they would check: ``num_lines`` is one of
+        :attr:`VALID_LINE_COUNTS` and ``addr`` is line-aligned.  The
+        batched coalescing kernel builds its packets through here: its
+        kernel envelope and ``split_aligned_runs`` already guarantee
+        both.  A one-request packet presets its constituent byte total
+        to that request's ``requested_bytes``.
+        """
+        self = _new(cls)
+        self.addr = addr
+        self.num_lines = num_lines
+        self.rtype = rtype
+        self.constituents = constituents
+        self.issue_cycle = issue_cycle
+        self.payload_bytes = None
+        self.merge_checked_gen = -1
+        self._requested_bytes = (
+            constituents[0].requested_bytes if len(constituents) == 1 else -1
+        )
+        return self
 
     @property
     def size(self) -> int:
@@ -239,7 +295,8 @@ class CoalescedRequest:
     @property
     def requested_bytes(self) -> int:
         """Total bytes actually requested by the constituent accesses
-        (memoized; the constituent list is fixed at construction)."""
+        (memoized; the constituent list is fixed until the packet
+        issues)."""
         total = self._requested_bytes
         if total < 0:
             cons = self.constituents

@@ -120,9 +120,7 @@ class Vault:
             busy.inc(stats.busy_ns, vault=label)
         if stats.row_misses:
             conflicts.inc(stats.row_misses, vault=label)
-        observe = waits.bind(vault=label).observe
-        for wait in self._waits:
-            observe(wait)
+        waits.bind(vault=label).observe_each(self._waits)
 
     def service(
         self, addr: int, data_bytes: int, arrive_ns: float

@@ -55,7 +55,19 @@ Supporting machinery sharing the same digest boundary:
   the whole queue per allocation; the kernel keeps checked-clean
   queued requests in a ``(type, line) -> slots`` index
   (``_queue_index``) and probes each *new allocation's* lines against
-  it, so the steady-state pass is O(new entry lines) dict lookups.
+  it as the entry is allocated.  Only entries that hit are logged for
+  the next merge-while-full pass, so a pass is O(logged entry lines)
+  dict lookups, and none at all while the queue shares no line with
+  the new entries.  A full check is miss-first: one membership test
+  per line against the MSHR file's line index, and only a hit builds
+  the ordered ``_find_overlaps`` list.  Without MSHR coalescing the
+  kernel keeps none of this bookkeeping.
+* **Constituent hand-over.**  The kernel builds its packets with the
+  unchecked :meth:`CoalescedRequest.from_aligned_span` (its own span
+  arithmetic guarantees the alignment), and an allocation hands the
+  packet's constituent list to the MSHR entry instead of copying it:
+  nothing reads an allocated packet again, unless the ``issued``
+  stream keeps it, in which case the list is copied.
 * **Completion heap.**  Retirements pop from a ``(complete_cycle,
   index)`` min-heap instead of scanning the file; the row loop skips
   the completion call entirely while the heap's minimum is in the
@@ -100,6 +112,10 @@ from repro.kernels import KernelCounters
 _ADDR_MASK = (1 << TYPE_BIT) - 1
 _LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 _BY_INDEX = itemgetter(1)
+#: Every packet the kernel builds spans an aligned run of 1, 2, 4 or 8
+#: lines (the envelope plus ``split_aligned_runs``), so it skips the
+#: validating constructor.
+_span_packet = CoalescedRequest.from_aligned_span
 
 
 #: This kernel's engagement/fallback counts (see
@@ -208,6 +224,7 @@ class BatchedCoalescer:
         config = coalescer.config
         self._coalescer = coalescer
         self._mshrs = coalescer.mshrs
+        self._line_index = coalescer.mshrs._line_index
         self._crq = coalescer.crq
         self._dmc = coalescer.dmc
         self._pipeline = coalescer.pipeline
@@ -235,14 +252,18 @@ class BatchedCoalescer:
         #: drain that ended with no progress possible, or ``None``.
         self._memo: tuple | None = None
         #: Entries allocated since the last merge-while-full pass
-        #: finished.  A queued request that already passed a full
-        #: overlap check can only overlap entries in this log (entries
-        #: never gain lines after allocation), so the steady-state pass
-        #: is a probe of the log entries' lines against
-        #: ``_queue_index`` instead of a scan of every queued request.
-        #: Without MSHR coalescing nothing probes, so nothing is logged
-        #: (and the MSHR file's line index, which only the overlap
-        #: search reads, is not maintained either).
+        #: finished that shared a line with a checked-clean queued
+        #: request when they were allocated.  A queued request that
+        #: already passed a full overlap check can only overlap entries
+        #: allocated after that check (entries never gain lines), and
+        #: it sat in ``_queue_index`` at each such allocation, so every
+        #: entry it overlaps is in this log.  The pass then probes only
+        #: the log entries' lines against ``_queue_index`` instead of
+        #: scanning every queued request, and a pass that finds the log
+        #: empty has no join to make.  Without MSHR coalescing nothing
+        #: probes, so nothing is logged (and the MSHR file's line
+        #: index, which only the overlap search reads, is not
+        #: maintained either).
         self._alloc_log: list = []
         #: ``(type, line) -> [slot, ...]`` over queued requests whose
         #: last full overlap check found nothing (the check's result
@@ -253,7 +274,8 @@ class BatchedCoalescer:
         self._queue_index: dict = {}
         #: ``id(slot) -> slot`` for queued requests that still need a
         #: full overlap check (fresh pushes, post-fence re-checks), in
-        #: queue order.
+        #: queue order.  Like the log and the index, it stays empty
+        #: without MSHR coalescing.
         self._unchecked: dict = {}
         #: Fence markers currently in the queue (probe filtering is
         #: only needed while this is non-zero).
@@ -335,7 +357,7 @@ class BatchedCoalescer:
             entry.valid = False
             heappush(free_heap, idx)
             if line_index is not None:
-                t = int(entry.rtype)
+                t = entry.rtype
                 base = entry.addr // line_size
                 num_lines = entry.num_lines
                 if num_lines == 1:
@@ -400,7 +422,7 @@ class BatchedCoalescer:
                     # so its re-offer can only be rejected.  What is
                     # left is that drain's merge pass, which only has
                     # work when pushes added unchecked packets.
-                    if self._unchecked and self._coalescing:
+                    if self._unchecked:
                         self._merge_waiting_pass()
                 return
             self._memo = None
@@ -447,8 +469,9 @@ class BatchedCoalescer:
         cstats = self._cstats
         d_occ = self._occupancy
         unchecked = self._unchecked
+        alloc_log = self._alloc_log
         popleft = slots.popleft
-        find_overlaps = m._find_overlaps
+        overlaps_of = self._overlaps
         probe_log = self._probe_log
         free_heap = m._free_heap
         alloc_entry = self._alloc_entry
@@ -495,11 +518,13 @@ class BatchedCoalescer:
             if coalescing and occ:
                 fresh = sid in unchecked
                 if fresh:
-                    overlaps = find_overlaps(head)
-                else:
+                    overlaps = overlaps_of(head)
+                elif alloc_log:
                     # Already checked clean: only entries allocated
                     # since (all in the log) can overlap.
                     overlaps = probe_log(head)
+                else:
+                    overlaps = None
                 if overlaps:
                     covered: set[int] = set()
                     for entry, common in overlaps:
@@ -530,6 +555,13 @@ class BatchedCoalescer:
             if free_heap:
                 # Coalesced-path allocation: shared core plus the
                 # issue record (inlined -- this is the one call site).
+                # The head leaves the join first, so the allocation
+                # logs its entry only for the requests still queued.
+                if coalescing:
+                    if sid in unchecked:
+                        del unchecked[sid]
+                    else:
+                        self._unindex_slot(slot)
                 entry = alloc_entry(head, at)
                 if issued is not None:
                     issued.append(
@@ -537,19 +569,17 @@ class BatchedCoalescer:
                             head, at, entry.complete_cycle, entry.index
                         )
                     )
-                if sid in unchecked:
-                    del unchecked[sid]
-                elif coalescing:
-                    self._unindex_slot(slot)
                 popleft()
                 cstats.pops += 1
                 continue
             mstats.rejected_full += 1
-            if coalescing and sid in unchecked:
-                # The offer just ran a full overlap check; record it.
-                del unchecked[sid]
-                self._index_slot(slot)
-            self._merge_waiting_pass()
+            if coalescing:
+                if sid in unchecked:
+                    # The offer just ran a full overlap check; record it.
+                    del unchecked[sid]
+                    self._index_slot(slot)
+                if unchecked or alloc_log:
+                    self._merge_waiting_pass()
             self._memo = (slot, m.alloc_gen, self._retires, False)
             return
 
@@ -561,10 +591,11 @@ class BatchedCoalescer:
 
     def _index_slot(self, slot: _Slot) -> None:
         req = slot.request
-        t = int(req.rtype)
-        base = req.addr // self._line_size
+        t = req.rtype
+        base = req.addr >> _LINE_SHIFT
         qi = self._queue_index
-        for line in range(base, base + req.num_lines):
+        n = req.num_lines
+        for line in (base,) if n == 1 else range(base, base + n):
             bucket = qi.get((t, line))
             if bucket is None:
                 qi[(t, line)] = [slot]
@@ -573,10 +604,11 @@ class BatchedCoalescer:
 
     def _unindex_slot(self, slot: _Slot) -> None:
         req = slot.request
-        t = int(req.rtype)
-        base = req.addr // self._line_size
+        t = req.rtype
+        base = req.addr >> _LINE_SHIFT
         qi = self._queue_index
-        for line in range(base, base + req.num_lines):
+        n = req.num_lines
+        for line in (base,) if n == 1 else range(base, base + n):
             bucket = qi[(t, line)]
             for i, s in enumerate(bucket):
                 if s is slot:
@@ -584,6 +616,24 @@ class BatchedCoalescer:
                     break
             if not bucket:
                 del qi[(t, line)]
+
+    def _overlaps(self, request: CoalescedRequest):
+        """``DynamicMSHRFile._find_overlaps`` behind a miss-first test.
+
+        One ``(type, line) in _line_index`` test per line; only a hit
+        pays for the ordered ``(entry, common lines)`` list.  The index
+        never keeps an empty bucket, so a member line always overlaps.
+        ``IntEnum`` request types hash and compare as their value, so
+        they match the index's integer keys.
+        """
+        index = self._line_index
+        t = request.rtype
+        base = request.addr >> _LINE_SHIFT
+        n = request.num_lines
+        for line in (base,) if n == 1 else range(base, base + n):
+            if (t, line) in index:
+                return self._mshrs._find_overlaps(request)
+        return None
 
     def _probe_log(self, queued: CoalescedRequest):
         """Overlaps of ``queued`` against the allocation log only.
@@ -593,11 +643,10 @@ class BatchedCoalescer:
         log was ruled out then.  Spans are contiguous on both sides, so
         the common-line set is a range intersection; duplicate log
         records for a recycled entry collapse in the by-index dict, and
-        the ascending-index order matches ``_find_overlaps``.
+        the ascending-index order matches ``_find_overlaps``.  Callers
+        probe only a non-empty log.
         """
         log = self._alloc_log
-        if not log:
-            return None
         line_size = self._line_size
         qb = queued.addr // line_size
         q_hi = qb + queued.num_lines
@@ -630,25 +679,21 @@ class BatchedCoalescer:
         ``_queue_index``, and each newly allocated entry (the log)
         probes its lines against that index -- O(new entry lines) dict
         lookups in the steady state.  Only fresh pushes and post-fence
-        re-checks (``_unchecked``) still pay a full ``_find_overlaps``.
-        Requests behind the first fence are skipped, exactly like the
-        object pass; a fence pop sends the whole queue back to
-        ``_unchecked`` to make up for the skipped probes.
+        re-checks (``_unchecked``) still pay a full check, miss-first
+        (:meth:`_overlaps`).  Requests behind the first fence are
+        skipped, exactly like the object pass; a fence pop sends the
+        whole queue back to ``_unchecked`` to make up for the skipped
+        probes.  Only runs with MSHR coalescing call it, and only with
+        unchecked requests or logged entries (otherwise nothing is new
+        on either side of the join since the last pass).
         """
-        if not self._coalescing:
-            return
         log = self._alloc_log
         unchecked = self._unchecked
-        if not unchecked:
-            if not log:
-                # Nothing new on either side of the join since the
-                # last pass: no branch below can make progress.
-                return
-            if not self._queue_index:
-                # New allocations but an empty join target: no queued
-                # request is checked-clean, so the probes hit nothing.
-                log.clear()
-                return
+        if not unchecked and not self._queue_index:
+            # New allocations but an empty join target: the requests
+            # they shared lines with have left the queue since.
+            log.clear()
+            return
         m = self._mshrs
         valid = m._valid_count
         slots = self._slots
@@ -680,7 +725,7 @@ class BatchedCoalescer:
                         behind = {}
                     behind[sid] = slot  # stays unchecked past the fence
                     continue
-                overlaps = m._find_overlaps(slot.request)
+                overlaps = self._overlaps(slot.request)
                 if overlaps:
                     if hits is None:
                         hits = []
@@ -697,9 +742,10 @@ class BatchedCoalescer:
             for entry in log:
                 if not entry.valid:
                     continue
-                t = int(entry.rtype)
+                t = entry.rtype
                 eb = entry.addr // line_size
-                for line in range(eb, eb + entry.num_lines):
+                n = entry.num_lines
+                for line in (eb,) if n == 1 else range(eb, eb + n):
                     bucket = qi.get((t, line))
                     if bucket:
                         if probed is None:
@@ -801,7 +847,12 @@ class BatchedCoalescer:
         for req in constituents:
             if not 0 <= req.line - base < num_lines:
                 raise CoalesceKernelError("subentry-line-out-of-range")
-        entry.subentries = list(constituents)
+        # Nothing reads an allocated packet again unless the issued
+        # stream keeps it, so the entry takes its list over; a kept
+        # packet's list must not grow with later merges.
+        entry.subentries = (
+            constituents if self._issued is None else list(constituents)
+        )
         entry.issue_cycle = at
         if hmc is None:
             complete = at + service
@@ -810,8 +861,9 @@ class BatchedCoalescer:
         entry.complete_cycle = complete
         m._valid_count += 1
         if self._coalescing:
-            index = m._line_index
-            t = int(request.rtype)
+            index = self._line_index
+            queued = self._queue_index
+            t = request.rtype
             if num_lines == 1:
                 key = (t, base)
                 bucket = index.get(key)
@@ -819,14 +871,22 @@ class BatchedCoalescer:
                     index[key] = [entry]
                 else:
                     bucket.append(entry)
+                shared = key in queued
             else:
+                shared = False
                 for line in range(base, base + num_lines):
-                    bucket = index.get((t, line))
+                    key = (t, line)
+                    bucket = index.get(key)
                     if bucket is None:
-                        index[(t, line)] = [entry]
+                        index[key] = [entry]
                     else:
                         bucket.append(entry)
-            self._alloc_log.append(entry)
+                    if key in queued:
+                        shared = True
+            if shared:
+                # A checked-clean queued request shares a line with
+                # the new entry: the next merge pass must probe it.
+                self._alloc_log.append(entry)
         m.alloc_gen += 1
         heappush(self._c_heap, (complete, entry.index))
         mstats = self._mstats
@@ -843,13 +903,7 @@ class BatchedCoalescer:
         subentries exactly like the object ``_allocate``), the bypass
         count and the timeline entry.
         """
-        packet = CoalescedRequest(
-            addr=request.addr,
-            num_lines=1,
-            rtype=request.rtype,
-            constituents=[request],
-            issue_cycle=cycle,
-        )
+        packet = _span_packet(request.addr, 1, request.rtype, [request], cycle)
         self._shrink(packet)
         self._mstats.offered += 1
         occ = self._mshrs._valid_count
@@ -896,7 +950,8 @@ class BatchedCoalescer:
             if len(slots) < depth_limit:
                 slot = _Slot(packet, cycle)
                 slots.append(slot)
-                self._unchecked[id(slot)] = slot
+                if self._coalescing:
+                    self._unchecked[id(slot)] = slot
                 cstats = self._cstats
                 cstats.pushes += 1
                 depth = len(slots)
@@ -936,13 +991,7 @@ class BatchedCoalescer:
         packet, offered to the CRQ and drained at once.
         """
         self.enqueue(
-            CoalescedRequest(
-                addr=request.addr,
-                num_lines=1,
-                rtype=request.rtype,
-                constituents=[request],
-                issue_cycle=cycle,
-            ),
+            _span_packet(request.addr, 1, request.rtype, [request], cycle),
             cycle,
         )
         self.drain(cycle)
@@ -969,7 +1018,7 @@ class BatchedCoalescer:
         # hoisted bindings stay valid across that call).
         slots = self._slots
         depth_limit = self._depth
-        unchecked = self._unchecked
+        unchecked = self._unchecked if self._coalescing else None
         cstats = self._cstats
         d_depth = self._depth_counts
         window = self._fill_window
@@ -979,7 +1028,8 @@ class BatchedCoalescer:
                 continue
             slot = _Slot(packet, done_cycle)
             slots.append(slot)
-            unchecked[id(slot)] = slot
+            if unchecked is not None:
+                unchecked[id(slot)] = slot
             cstats.pushes += 1
             depth = len(slots)
             if depth > cstats.max_occupancy:
@@ -1040,6 +1090,7 @@ class BatchedCoalescer:
         packets_append = packets.append
         d_md = self._merge_dist
         d_pl = self._packet_lines
+        span_packet = _span_packet
         for start, end in spans:
             base_req = requests[start]
             base_line = base_req.line
@@ -1073,12 +1124,12 @@ class BatchedCoalescer:
                 while cursor < end and requests[cursor].line < limit:
                     cursor += 1
                 packets_append(
-                    CoalescedRequest(
-                        addr=chunk_base * line_size,
-                        num_lines=chunk_num,
-                        rtype=rtype,
-                        constituents=requests[pos:cursor],
-                        issue_cycle=pkt_cycle,
+                    span_packet(
+                        chunk_base * line_size,
+                        chunk_num,
+                        rtype,
+                        requests[pos:cursor],
+                        pkt_cycle,
                     )
                 )
                 d_pl[chunk_num] = d_pl.get(chunk_num, 0) + 1

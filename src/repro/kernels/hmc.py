@@ -12,9 +12,10 @@ This back end replaces that walk with a compiled closure
 state live in cell variables, whose per-size FLIT schedules and DRAM
 latencies come from precomputed per-config tables
 (:class:`HMCTables`), and whose per-packet accounting shrinks to one
-packed integer and two float column appends.  Everything else --
-request/byte/FLIT counters, busy and queue-wait folds, per-vault
-splits, the size histogram -- is reconstructed **in batch** at
+packed integer and one float column append plus a running latency
+sum.  Everything else -- request/byte/FLIT counters, busy and
+queue-wait folds, per-vault splits, the size histogram -- is
+reconstructed **in batch** at
 :meth:`BatchedHMCBackend.finalize`: NumPy columns decode the packed
 codes, ``np.cumsum`` replays each float fold sequentially (the exact
 IEEE left fold the object engine performs, C-speed), and the results
@@ -305,7 +306,6 @@ def _compile_service(
     acts: dict,
     codes: list,
     waits: list,
-    lats: list,
     shadow_service,
 ):
     """Build the per-packet service closure and its control hooks.
@@ -320,9 +320,10 @@ def _compile_service(
 
     The float chain is the exact operation order of the object
     engine's ``_service_core`` + ``Vault.service``; the only per-packet
-    accounting is the packed ``(li, vault, row_hit)`` code and the
-    ``wait``/``latency`` column appends -- everything else is
-    reconstructed in batch at finalize.
+    accounting is the packed ``(li, vault, row_hit)`` code, the
+    ``wait`` column append and the running latency sum (the same
+    zero-seeded left fold the device's ``total_latency_ns`` makes) --
+    everything else is reconstructed in batch at finalize.
     """
     bb = t.block_bytes
     cap = t.capacity
@@ -340,15 +341,15 @@ def _compile_service(
     xfer = t.xfer
     codes_append = codes.append
     waits_append = waits.append
-    lats_append = lats.append
     acts_get = acts.get
     link_free = 0.0
     last_complete = 0.0
     requested_sum = 0
+    latency_sum = 0.0
     vleft = 1  # verify the very first packet
 
     def service(request: CoalescedRequest, at: int) -> int:
-        nonlocal link_free, last_complete, requested_sum, vleft
+        nonlocal link_free, last_complete, requested_sum, latency_sum, vleft
         payload = request.payload_bytes
         if payload is None:
             payload = request.num_lines * CACHE_LINE_SIZE
@@ -431,7 +432,7 @@ def _compile_service(
         if complete > last_complete:
             last_complete = complete
         latency = complete - arrive
-        lats_append(latency)
+        latency_sum += latency
         codes_append(li << 12 | v << 1 | hit)
 
         cycles = int(latency / cycle_ns)
@@ -441,8 +442,8 @@ def _compile_service(
         nonlocal vleft
         vleft = 0
 
-    def snapshot() -> tuple[float, float, int]:
-        return link_free, last_complete, requested_sum
+    def snapshot() -> tuple[float, float, int, float]:
+        return link_free, last_complete, requested_sum, latency_sum
 
     # replay_batch shares the link clock through the lf cell.
     def sync_link(value: float) -> None:
@@ -477,7 +478,6 @@ class BatchedHMCBackend:
         "_acts",
         "_codes",
         "_waits",
-        "_lats",
         "service",
         "mark_fence",
         "_snapshot",
@@ -496,7 +496,6 @@ class BatchedHMCBackend:
         self._acts: dict[int, int] = {}
         self._codes: list[int] = []
         self._waits: list[float] = []
-        self._lats: list[float] = []
         self._shadow: HMCDevice | None = None
         self._finalized = False
         self._lf: list = []
@@ -509,7 +508,6 @@ class BatchedHMCBackend:
             self._acts,
             self._codes,
             self._waits,
-            self._lats,
             self._shadow_service,
         )
 
@@ -666,8 +664,9 @@ class BatchedHMCBackend:
         Runs once, at the coalescing kernel's own finalize; the
         driver's ``apply_deferred_metrics()`` then publishes the
         device's series exactly as after an object-engine run.
-        Counter-style totals decode from the packed code column; every
-        float statistic is a sequential left fold replayed by
+        Counter-style totals decode from the packed code column; the
+        latency total is the service closure's running sum, and every
+        other float statistic is a sequential left fold replayed by
         ``np.cumsum`` (the same IEEE additions in the same order,
         zero-seeded like the pristine stack it attached to).
         """
@@ -676,7 +675,7 @@ class BatchedHMCBackend:
         self._finalized = True
         device = self._device
         t = self._t
-        link_free, last_complete, requested_sum = self._snapshot()
+        link_free, last_complete, requested_sum, latency = self._snapshot()
         n = len(self._codes)
         if n:
             codes = np.array(self._codes, dtype=np.int64)
@@ -690,7 +689,6 @@ class BatchedHMCBackend:
             hits = int(hit_col.sum())
             payload_sum = int(payload_col.sum())
             flits_sum = int(np.take(t.np_flits, li_col).sum())
-            latency = float(np.cumsum(np.array(self._lats))[-1])
             link_busy = float(np.cumsum(np.take(t.np_total, li_col))[-1])
             # dram + xfer per packet, the exact addend Vault.service
             # folds into its busy accumulators.
@@ -701,7 +699,7 @@ class BatchedHMCBackend:
             dxf = dram_col + np.take(t.np_xfer, pidx_col)
         else:
             writes = hits = payload_sum = flits_sum = 0
-            latency = link_busy = 0.0
+            link_busy = 0.0
         reads = n - writes
         misses = n - hits
         control = n * REQUEST_CONTROL_BYTES

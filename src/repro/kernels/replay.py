@@ -49,7 +49,7 @@ import time
 
 import numpy as np
 
-from repro.core.address import INVALID_KEY, TYPE_BIT
+from repro.core.address import CACHE_LINE_SIZE, INVALID_KEY, TYPE_BIT
 from repro.core.coalescer import MemoryCoalescer
 from repro.core.request import MemoryRequest, RequestType
 from repro.kernels.coalesce import (
@@ -60,10 +60,11 @@ from repro.kernels.coalesce import (
 )
 from repro.kernels.sortnet import VectorSortNetwork
 from repro.obs import PhaseProfiler
-from repro.trace.buffer import TraceBuffer
+from repro.trace.buffer import TraceBuffer, TraceError
 from repro.trace.replay import replay_trace
 
 _TYPE_MASK = 0b11
+_LINE_MASK = CACHE_LINE_SIZE - 1
 _FENCE_CODE = int(RequestType.FENCE)
 _LOAD = RequestType.LOAD
 _STORE = RequestType.STORE
@@ -432,6 +433,13 @@ def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
     Decodes once per buffer: Python-int lists of the five trace columns
     plus the extended sort keys (as an int64 array and as a list), kept
     in ``buffer.replay_cache["columns"]`` for every later replay.
+
+    The same pass validates the rows once per column, so requests can
+    be built from them unchecked (:meth:`MemoryRequest.from_trace_row`):
+    a non-fence row at an address that is not line-aligned raises
+    :class:`~repro.trace.buffer.TraceError` naming the first such row,
+    and a non-fence row with no requested bytes gets its ``size``, as
+    ``MemoryRequest`` would normalize it.
     """
     # columns() also runs the buffer's deferred integrity check.
     cycles_a, addrs_a, flags_a, sizes_a, requested_a = buffer.columns()
@@ -442,25 +450,34 @@ def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
     if decoded is not None:
         return cache, decoded
     if len(cycles_a):
-        addr_np = (
-            addrs_a
-            if isinstance(addrs_a, np.ndarray)
-            else np.frombuffer(addrs_a, dtype=np.uint64)
-        ).astype(np.int64)
-        flag_np = (
-            flags_a
-            if isinstance(flags_a, np.ndarray)
-            else np.frombuffer(flags_a, dtype=np.uint8)
+        addr_u = _np_column(addrs_a, np.uint64)
+        flag_np = _np_column(flags_a, np.uint8)
+        live = (flag_np & _TYPE_MASK) != _FENCE_CODE
+        bad = np.flatnonzero(live & ((addr_u & _LINE_MASK) != 0))
+        if len(bad):
+            row = int(bad[0])
+            raise TraceError(
+                f"trace row {row}: address {int(addr_u[row]):#x} is not line aligned"
+            )
+        requested_np = _np_column(requested_a, np.uint32)
+        unset = live & (requested_np == 0)
+        if unset.any():
+            requested_np = np.where(
+                unset, _np_column(sizes_a, np.uint32), requested_np
+            )
+        requested_l = requested_np.tolist()
+        keys_np = addr_u.astype(np.int64) | (
+            (flag_np & 0b01).astype(np.int64) << TYPE_BIT
         )
-        keys_np = addr_np | ((flag_np & 0b01).astype(np.int64) << TYPE_BIT)
     else:
+        requested_l = []
         keys_np = np.empty(0, dtype=np.int64)
     decoded = (
         cycles_a.tolist(),
         addrs_a.tolist(),
         flags_a.tolist(),
         sizes_a.tolist(),
-        requested_a.tolist(),
+        requested_l,
         keys_np,
         keys_np.tolist(),
     )
@@ -468,25 +485,30 @@ def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
     return cache, decoded
 
 
+def _np_column(column, dtype) -> np.ndarray:
+    """A NumPy view of one trace column (mmap columns already are)."""
+    if isinstance(column, np.ndarray):
+        return column
+    return np.frombuffer(column, dtype=dtype)
+
+
 def _request_builder(decoded: tuple):
     """``j -> MemoryRequest`` over the decoded columns' non-fence rows.
 
     Every call builds a fresh request: the coalescer keeps pushed
     requests in packet constituents and MSHR subentries, so no two
-    pushes may share one.
+    pushes may share one.  :func:`_decoded_columns` validated the
+    rows, so requests are built unchecked.
     """
     addrs_l, flags_l, sizes_l, requested_l = decoded[1:5]
+    from_row = MemoryRequest.from_trace_row
 
     def request_at(j: int) -> MemoryRequest:
-        addr = addrs_l[j]
-        return MemoryRequest(
-            addr=addr,
-            rtype=_STORE if flags_l[j] & 0b01 else _LOAD,
-            size=sizes_l[j],
-            requested_bytes=requested_l[j],
-            # Pre-seed the line memo (addr >> 6 == addr // 64 for the
-            # nonnegative line-aligned addresses the buffer holds).
-            _line=addr >> 6,
+        return from_row(
+            addrs_l[j],
+            _STORE if flags_l[j] & 0b01 else _LOAD,
+            sizes_l[j],
+            requested_l[j],
         )
 
     return request_at
@@ -516,6 +538,7 @@ def _replay_single_lines(
     COUNTERS.engaged += 1
     pipeline = coalescer.pipeline
     crq = coalescer.crq
+    crq_slots = crq._slots  # the deque mutates in place, never rebinds
     can_bypass = coalescer._can_bypass
     complete = kernel.complete_up_to
     kheap = kernel._c_heap
@@ -544,7 +567,9 @@ def _replay_single_lines(
             continue
         llc_count += 1
         request = request_at(i)
-        if can_bypass(c):
+        # The bypass needs an empty CRQ; test that first, because the
+        # CRQ is rarely empty in the saturated steady state.
+        if not crq_slots and can_bypass(c):
             kernel.bypass(request, c)
         else:
             push_line(request, c)

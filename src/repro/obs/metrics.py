@@ -24,7 +24,7 @@ value, histograms add bucket counts.  Exporters live in
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.obs.timeline import StageTimeline
 
@@ -336,16 +336,20 @@ class _BoundHistogram:
         self._key = key
         self._series = hist._series.get(key)
 
+    def _materialize(self) -> _HistogramSeries:
+        hist = self._hist
+        series = hist._series.get(self._key)
+        if series is None:
+            series = hist._series[self._key] = _HistogramSeries(
+                len(hist.buckets)
+            )
+        self._series = series
+        return series
+
     def observe(self, value: float) -> None:
         series = self._series
         if series is None:
-            hist = self._hist
-            series = hist._series.get(self._key)
-            if series is None:
-                series = hist._series[self._key] = _HistogramSeries(
-                    len(hist.buckets)
-                )
-            self._series = series
+            series = self._materialize()
         series.counts[bisect_left(self._hist.buckets, value)] += 1
         series.sum += value
         series.count += 1
@@ -361,13 +365,7 @@ class _BoundHistogram:
             return
         series = self._series
         if series is None:
-            hist = self._hist
-            series = hist._series.get(self._key)
-            if series is None:
-                series = hist._series[self._key] = _HistogramSeries(
-                    len(hist.buckets)
-                )
-            self._series = series
+            series = self._materialize()
         series.counts[bisect_left(self._hist.buckets, value)] += count
         series.sum += value * count
         series.count += count
@@ -375,6 +373,33 @@ class _BoundHistogram:
             series.min = value
         if series.max is None or value > series.max:
             series.max = value
+
+    def observe_each(self, values: Sequence[float]) -> None:
+        """Observe every value of ``values``, in order, in one call.
+
+        Equal to one :meth:`observe` per value: the same buckets, the
+        same left-fold sum, and min/max taken over the sequence.  An
+        empty sequence records nothing and materializes no series.
+        """
+        if not values:
+            return
+        series = self._series
+        if series is None:
+            series = self._materialize()
+        counts = series.counts
+        buckets = self._hist.buckets
+        total = series.sum
+        for value in values:
+            counts[bisect_left(buckets, value)] += 1
+            total += value
+        series.sum = total
+        series.count += len(values)
+        lo = min(values)
+        hi = max(values)
+        if series.min is None or lo < series.min:
+            series.min = lo
+        if series.max is None or hi > series.max:
+            series.max = hi
 
 
 class MetricsRegistry:

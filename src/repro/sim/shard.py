@@ -188,7 +188,7 @@ def read_checkpoint(path: str | Path):
 # -- shard execution ---------------------------------------------------------
 
 
-def execute_run(payload: dict, checkpoint_path: str | Path, trace_store):
+def execute_run(payload: dict, checkpoint_path: str | Path | None, trace_store):
     """Run one shard and checkpoint it; returns the live result.
 
     ``payload`` is the scheduler's run description::
@@ -198,7 +198,9 @@ def execute_run(payload: dict, checkpoint_path: str | Path, trace_store):
 
     ``trace_store`` is the caller's :class:`~repro.trace.TraceStore`:
     the inline executor shares one across the sweep, and each pool
-    worker keeps one for its whole life.
+    worker keeps one for its whole life.  ``checkpoint_path=None``
+    writes no checkpoint: an inline sweep without an output directory
+    would never read it.
     """
     from repro.sim.driver import PlatformConfig, run_benchmark
 
@@ -206,6 +208,7 @@ def execute_run(payload: dict, checkpoint_path: str | Path, trace_store):
     result = run_benchmark(
         payload["benchmark"], platform=platform, trace_store=trace_store
     )
-    header = {k: payload[k] for k in ("benchmark", "config", "digest")}
-    write_checkpoint(checkpoint_path, header, result)
+    if checkpoint_path is not None:
+        header = {k: payload[k] for k in ("benchmark", "config", "digest")}
+        write_checkpoint(checkpoint_path, header, result)
     return result

@@ -304,7 +304,9 @@ class SweepResult:
 class _Pending:
     key: RunKey
     platform: PlatformConfig
-    checkpoint: Path
+    #: ``None`` for an inline sweep without ``out_dir``: nothing would
+    #: read the checkpoint, so none is written.
+    checkpoint: Path | None
     attempts: int = 0
 
     @property
@@ -355,8 +357,10 @@ def run_sweep(
         scheduler thrash); ``metadata`` records both ``requested_jobs``
         and ``effective_jobs``.
     out_dir:
-        Checkpoint directory (created if missing).  ``None`` uses a
-        temporary directory discarded when the sweep finishes.
+        Checkpoint directory (created if missing).  ``None`` writes no
+        checkpoints inline; the pool then uses a temporary directory
+        discarded when the sweep finishes (its parent re-reads a
+        checkpoint when a worker dies right after writing one).
     resume:
         Skip keys whose checkpoint already exists and loads cleanly;
         corrupt or truncated checkpoints are deleted and re-run.
@@ -396,12 +400,13 @@ def run_sweep(
 
     expanded = spec.expand(filter=filter)
     tmp_dir: tempfile.TemporaryDirectory | None = None
-    if out_dir is None:
-        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-sweep-")
-        out_path = Path(tmp_dir.name)
-    else:
+    out_path: Path | None = None
+    if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
+    elif mode == "pool":
+        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-sweep-")
+        out_path = Path(tmp_dir.name)
 
     results: dict[RunKey, SimulationResult] = {}
     failures: list[FailedRun] = []
@@ -409,6 +414,9 @@ def run_sweep(
     skipped = 0
     try:
         for key, platform in expanded:
+            if out_path is None:
+                pending.append(_Pending(key, platform, None))
+                continue
             ck = out_path / (key.stem + CHECKPOINT_SUFFIX)
             if resume and ck.exists():
                 try:
@@ -494,7 +502,8 @@ def _run_inline(
     progress: Progress | None,
     trace_dir: str | Path | None = None,
 ) -> None:
-    """Single-process execution path (identical checkpoint writes)."""
+    """Single-process execution path (identical checkpoint writes, or
+    none for a sweep without ``out_dir``)."""
     import traceback as tb_mod
 
     from repro.trace import TraceStore

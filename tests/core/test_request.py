@@ -1,5 +1,7 @@
 """Tests for the request object model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.address import CACHE_LINE_SIZE
@@ -8,6 +10,7 @@ from repro.core.request import (
     CoalescedRequest,
     MemoryRequest,
     RequestType,
+    reset_id_counters,
 )
 
 
@@ -101,3 +104,72 @@ class TestCoalescedRequest:
             addr=0, num_lines=2, rtype=RequestType.LOAD, constituents=members
         )
         assert c.requested_bytes == 24
+
+
+def _slots(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+class TestTrustedConstructors:
+    """The unchecked constructors must fill every dataclass field
+    exactly as the validated ones do; comparing over
+    ``dataclasses.fields`` means a new field cannot be skipped."""
+
+    ROWS = (
+        (0x1000, RequestType.LOAD, 64, 8),
+        (0x2040, RequestType.STORE, 64, 64),
+        (0x3000, RequestType.LOAD, 64, 0),
+        (0x40, RequestType.STORE, 64, 0),
+    )
+
+    def test_trace_rows_build_like_validated_requests(self):
+        from repro.kernels.replay import _decoded_columns, _request_builder
+        from repro.trace import TraceBuffer
+
+        buffer = TraceBuffer()
+        buffer.extend_rows(
+            range(len(self.ROWS)),
+            [row[0] for row in self.ROWS],
+            [int(row[1]) for row in self.ROWS],
+            [row[2] for row in self.ROWS],
+            [row[3] for row in self.ROWS],
+        )
+        _, decoded = _decoded_columns(buffer)
+        request_at = _request_builder(decoded)
+        for j, (addr, rtype, size, requested) in enumerate(self.ROWS):
+            reset_id_counters()
+            want = MemoryRequest(
+                addr=addr, rtype=rtype, size=size, requested_bytes=requested
+            )
+            reset_id_counters()
+            got = request_at(j)
+            assert _slots(got) == _slots(want)
+
+    @pytest.mark.parametrize("members", (1, 3))
+    @pytest.mark.parametrize("num_lines", (1, 2, 4, 8))
+    def test_aligned_spans_build_like_validated_packets(
+        self, num_lines, members
+    ):
+        base = 0x4000  # aligned to every span size
+        constituents = [
+            MemoryRequest(
+                addr=base + CACHE_LINE_SIZE * (k % num_lines),
+                rtype=RequestType.STORE,
+                requested_bytes=8 * (k + 1),
+            )
+            for k in range(members)
+        ]
+        want = CoalescedRequest(
+            addr=base,
+            num_lines=num_lines,
+            rtype=RequestType.STORE,
+            constituents=constituents,
+            issue_cycle=77,
+        )
+        got = CoalescedRequest.from_aligned_span(
+            base, num_lines, RequestType.STORE, constituents, 77
+        )
+        # Settle the byte-total memo on both (a one-request packet
+        # presets it).
+        assert got.requested_bytes == want.requested_bytes
+        assert _slots(got) == _slots(want)

@@ -240,18 +240,26 @@ def test_verification_miss_falls_back_to_object_engine(monkeypatch):
 )
 def test_no_overlap_state_without_mshr_coalescing(monkeypatch, coalescer):
     """Without MSHR coalescing nothing searches for overlaps, so the
-    kernel keeps neither the allocation log nor the MSHR line index:
-    both stay empty while entries are still in flight at end of trace."""
+    kernel keeps no merge bookkeeping: the allocation log, the MSHR
+    line index, the unchecked set and the queue index all stay empty
+    while entries are still in flight at end of trace."""
     from repro.kernels import replay as replay_module
     from repro.kernels.coalesce import BatchedCoalescer
 
-    seen: list[tuple[int, int, int]] = []
+    seen: list[tuple[int, ...]] = []
 
     class Watched(BatchedCoalescer):
         def finish(self, cycle):
             m = self._mshrs
-            log, index = self._alloc_log, m._line_index
-            seen.append((m._valid_count, len(log), len(index)))
+            seen.append(
+                (
+                    m._valid_count,
+                    len(self._alloc_log),
+                    len(m._line_index),
+                    len(self._unchecked),
+                    len(self._queue_index),
+                )
+            )
             super().finish(cycle)
 
     monkeypatch.setattr(replay_module, "BatchedCoalescer", Watched)
@@ -261,6 +269,6 @@ def test_no_overlap_state_without_mshr_coalescing(monkeypatch, coalescer):
         coalescer=coalescer,
         engine="vector",
     )
-    [(in_flight, logged, indexed)] = seen
+    [(in_flight, *bookkeeping)] = seen
     assert in_flight > 0
-    assert (logged, indexed) == (0, 0)
+    assert bookkeeping == [0, 0, 0, 0]

@@ -8,7 +8,9 @@ pinned absolute digests for every benchmark x figure config, and
 across the trace store in both capture/replay directions, plus raw
 trace-buffer bytes for the capture kernel on its own.  Whether a
 coalescer records its per-request streams is an execution concern
-too: it must not change a stat or a metric on either engine.
+too: it must not change a stat or a metric on either engine.  Hostile
+trace rows (misaligned addresses, no requested bytes) either replay
+equally on both engines or fail with a typed error.
 """
 
 from dataclasses import replace
@@ -27,9 +29,15 @@ from repro.kernels.capture import batch_capture, supports_vector_capture
 from repro.kernels.replay import vector_replay
 from repro.obs import MetricsRegistry
 from repro.perf.digest import result_digest
-from repro.sim.driver import PlatformConfig, _make_service_time, run_benchmark
+from repro.sim.driver import (
+    PlatformConfig,
+    _make_service_time,
+    _replay_benchmark,
+    run_benchmark,
+)
 from repro.sim.sweep import FIGURE_CONFIGS
 from repro.trace import TraceBuffer, TraceStore, replay_trace, trace_key
+from repro.trace.buffer import TraceError
 from repro.workloads import BENCHMARKS, get_workload
 from repro.workloads.base import Workload
 
@@ -238,6 +246,66 @@ def test_stream_recording_changes_no_stat_or_metric(
     assert bare.issued == [] and bare.serviced == []
     assert len(rec.issued) == stats.hmc_requests
     assert len(rec.serviced) == stats.llc_requests
+
+
+def _stock_coalescer(platform, config):
+    device = HMCDevice(platform.hmc, MetricsRegistry())
+    return MemoryCoalescer(
+        config,
+        service_time=_make_service_time(device, platform.cycle_ns),
+        record_streams=False,
+    )
+
+
+@pytest.mark.parametrize("config", ("uncoalesced", "combined"))
+def test_misaligned_trace_row_fails_at_decode(stored_traces, config):
+    """A non-fence row off a line boundary is hostile input.  The
+    vector engine rejects it while decoding the columns, before any
+    kernel state exists, with a TraceError naming the row; the object
+    engine still raises the request's own ValueError when it gets
+    there."""
+    platform, buffers = stored_traces
+    hostile = TraceBuffer.from_bytes(buffers["SG"].to_bytes())
+    row = next(
+        i
+        for i in range(len(hostile) // 2, len(hostile))
+        if hostile.flags[i] & 0b11 != int(RequestType.FENCE)
+    )
+    hostile.addrs[row] += 8
+    cfg = FIGURE_CONFIGS[config]
+
+    coal = _stock_coalescer(platform, cfg)
+    engaged = coalesce_kernel.COUNTERS.engaged
+    with pytest.raises(TraceError, match=f"trace row {row}:"):
+        vector_replay(hostile, coalescer=coal)
+    assert coalesce_kernel.COUNTERS.engaged == engaged
+    assert coal.mshrs.stats.offered == 0 and coal.crq.stats.pushes == 0
+
+    with pytest.raises(ValueError, match="not line aligned"):
+        replay_trace(hostile, coalescer=_stock_coalescer(platform, cfg))
+
+
+@pytest.mark.parametrize("config", tuple(FIGURE_CONFIGS))
+def test_zero_requested_bytes_replay_equal_on_both_engines(
+    stored_traces, config
+):
+    """Rows that record no requested bytes count as their line size on
+    both engines: the object engine normalizes each request, the
+    vector engine the whole column at decode."""
+    platform, buffers = stored_traces
+    hostile = TraceBuffer.from_bytes(buffers["SG"].to_bytes())
+    for i in range(0, len(hostile), 3):
+        hostile.requested[i] = 0
+    platform = platform.with_coalescer(FIGURE_CONFIGS[config])
+    digests = {
+        engine: result_digest(
+            _replay_benchmark(
+                hostile, platform=platform, profiler=None, engine=engine
+            )
+        )
+        for engine in ("object", "vector")
+    }
+    assert digests["object"] == digests["vector"]
 
 
 def test_prefetch_platforms_fall_back_to_the_object_path():

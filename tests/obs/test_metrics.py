@@ -1,5 +1,7 @@
 """Tests for the metric primitives and registry semantics."""
 
+import math
+
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, StageTimeline
@@ -300,6 +302,33 @@ class TestBoundHandles:
             assert sa[key].counts == sb[key].counts
             assert sa[key].sum == sb[key].sum
             assert (sa[key].min, sa[key].max) == (sb[key].min, sb[key].max)
+
+    def test_histogram_observe_each_matches_one_at_a_time(self):
+        # Bucket edges, repeats, 0.0, overflow, and an order whose
+        # left-fold sum differs from the sorted or exact sum.
+        values = [0.0, 1.0, 2.0, 2.0, 0.0, 0.1, 0.3, 300.0, 0.2, 0.7, 0.001]
+        assert sum(values) != math.fsum(values)
+        a = Histogram("h", buckets=(0.0, 1.0, 2.0, 256.0))
+        b = Histogram("h", buckets=(0.0, 1.0, 2.0, 256.0))
+        bound_a, bound_b = a.bind(vault="0"), b.bind(vault="0")
+        bound_a.observe_each(values)
+        for v in values:
+            bound_b.observe(v)
+        # A second batch folds onto the existing series.
+        bound_a.observe_each([0.5, 0.0])
+        bound_b.observe(0.5)
+        bound_b.observe(0.0)
+        [(ka, sa)] = a.samples()
+        [(kb, sb)] = b.samples()
+        assert ka == kb
+        assert (sa.counts, sa.sum, sa.count, sa.min, sa.max) == (
+            sb.counts, sb.sum, sb.count, sb.min, sb.max
+        )
+
+    def test_histogram_observe_each_of_nothing_creates_no_series(self):
+        h = Histogram("h")
+        h.bind(vault="0").observe_each([])
+        assert not list(h.samples())
 
     def test_unused_bound_handles_create_no_series(self):
         # Digest safety: binding alone must not materialize a series.

@@ -123,6 +123,22 @@ class TestInlineSweep:
         run_sweep(GRID, jobs=1, out_dir=tmp_path)
         assert len(list(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))) == 4
 
+    def test_no_out_dir_writes_no_checkpoint(self, tmp_path, monkeypatch):
+        from repro.perf.digest import result_digest
+        from repro.sim import shard
+
+        kept = run_sweep(GRID, jobs=1, out_dir=tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inline sweep without out_dir checkpointed")
+
+        monkeypatch.setattr(shard, "write_checkpoint", refuse)
+        bare = run_sweep(GRID, jobs=1)
+        assert bare.ok and bare.completed == 4 and bare.out_dir is None
+        assert [result_digest(r) for r in bare.results.values()] == [
+            result_digest(r) for r in kept.results.values()
+        ]
+
     def test_merged_registry_equals_serial_merge(self, tmp_path):
         sweep = run_sweep(GRID, jobs=1, out_dir=tmp_path)
         serial = MetricsRegistry()

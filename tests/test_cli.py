@@ -334,6 +334,23 @@ class TestPerfUpdateBaseline:
         cases = load_report(baseline)["cases"]
         assert set(cases) == {"STREAM/combined@600", "SG/combined@600"}
 
+    def test_merge_keeps_the_baseline_header(self, tmp_path, capsys):
+        from repro.__main__ import _update_baseline
+        from repro.perf import load_report, save_report
+
+        baseline = tmp_path / "baseline.json"
+        old = self._report("aaa")
+        old.update(suite="smoke", repeats=5, calibration_seconds=0.007)
+        save_report(old, baseline)
+        update = self._report("ccc", name="SG/combined@600")
+        update.update(suite="sweep", repeats=3, calibration_seconds=0.002)
+        assert _update_baseline(update, self._args(baseline)) == 0
+        merged = load_report(baseline)
+        assert (
+            merged["suite"], merged["repeats"], merged["calibration_seconds"]
+        ) == ("smoke", 5, 0.007)
+        assert merged["cases"]["SG/combined@600"]["digest"] == "ccc"
+
     def test_creates_baseline_when_absent(self, tmp_path, capsys):
         from repro.__main__ import _update_baseline
         from repro.perf import load_report
