@@ -32,8 +32,9 @@ Commands
 ``perf``
     Measure the simulator's own speed: run the perf case suite
     (best-of-``--repeats`` wall time, simulated requests/second and a
-    result digest per case), write ``BENCH_perf.json``, and compare
-    against the checked-in baseline, failing on throughput regressions
+    result digest per case), write the report to ``--out`` (default
+    the untracked ``BENCH_perf.local.json``), and compare against the
+    checked-in baseline, failing on throughput regressions
     beyond ``--threshold`` or on any digest mismatch.  ``--filter``
     scopes the suite (substring or glob over case names), ``--list``
     prints the case names instead of running.
@@ -847,8 +848,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--out",
-        default="BENCH_perf.json",
-        help="report path (default: BENCH_perf.json at the repo root)",
+        default="BENCH_perf.local.json",
+        help="report path (default: BENCH_perf.local.json, which git "
+        "ignores; the checked-in BENCH_perf.json is written only when "
+        "named)",
     )
     perf.add_argument(
         "--baseline",

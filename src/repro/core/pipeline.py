@@ -320,7 +320,7 @@ class PipelinedSortingNetwork:
         All timing and statistics bookkeeping of a flush lives here;
         :meth:`_flush` calls it after the comparator walk, and the
         vector engine (:mod:`repro.kernels.replay`) calls it directly
-        with batch-precomputed orderings so both engines share one
+        with orderings it computed itself, so both engines share one
         digest-visible accounting implementation.  ``sorted_requests``
         must hold the ``count`` valid requests in network output order,
         padding already stripped.

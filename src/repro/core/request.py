@@ -25,12 +25,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.core.address import (
-    CACHE_LINE_SIZE,
-    extend_address,
-    invalid_key,
-    line_base,
-)
+from repro.core.address import CACHE_LINE_SIZE, extend_address, invalid_key
 
 _access_ids = itertools.count()
 _request_ids = itertools.count()
@@ -124,14 +119,10 @@ class MemoryRequest:
 
     def __post_init__(self) -> None:
         if self.rtype is not RequestType.FENCE:
-            if self.addr != line_base(self.addr, self.size if self.size else CACHE_LINE_SIZE):
-                # Line requests must be aligned to their own size only when
-                # they are single lines; coalesced sizes are handled by
-                # CoalescedRequest.  Enforce line alignment here.
-                if self.addr % CACHE_LINE_SIZE:
-                    raise ValueError(
-                        f"MemoryRequest address {self.addr:#x} is not line aligned"
-                    )
+            if self.addr % CACHE_LINE_SIZE:
+                raise ValueError(
+                    f"MemoryRequest address {self.addr:#x} is not line aligned"
+                )
             if self.requested_bytes <= 0:
                 self.requested_bytes = self.size
         self.line = self.addr // CACHE_LINE_SIZE

@@ -11,10 +11,11 @@ The simulator has two interchangeable execution engines:
 ``"vector"``
     The columnar path (this package): capture runs the workload's
     access columns through batched cache lookups
-    (:mod:`repro.kernels.capture`), and replay precomputes sorted
-    orderings for whole chunks of flush sequences with a NumPy
-    execution of the Batcher comparator schedule
-    (:mod:`repro.kernels.replay` / :mod:`repro.kernels.sortnet`).
+    (:mod:`repro.kernels.capture`), and replay runs one row loop that
+    sorts each flush sequence once, when it flushes
+    (:mod:`repro.kernels.replay` / :mod:`repro.kernels.sortnet`), in
+    front of a batched DMC/CRQ/MSHR kernel
+    (:mod:`repro.kernels.coalesce`).
 
 Both engines produce bit-identical :class:`~repro.sim.driver.SimulationResult`
 digests -- the vector engine is *exact*, not approximate.  That contract

@@ -1,23 +1,12 @@
-"""Batched second-phase coalescing: DMC merge plans + lean CRQ/MSHR replay.
+"""Batched second-phase coalescing: lean DMC/CRQ/MSHR replay.
 
 The vector replay engine (:mod:`repro.kernels.replay`) eliminated the
 per-row comparator walk, but every flushed sequence still ran the
 object DMC/CRQ/MSHR machinery call-for-call -- per-packet method
 calls, per-offer bookkeeping, and (dominating the profile) thousands
 of *repeat* rejected-full drains while the MSHR file sat fully
-occupied.  This module removes that ceiling in three
-moves, none of which change a digest-visible effect:
-
-**Merge plans.**  The DMC unit's group boundaries are a pure function
-of the sorted (type, line) key stream: a new group starts at position
-``j`` iff the type bit changes, the line distance exceeds one, or a
-distance-one step crosses an aligned ``max_packet_lines`` block
-(``line % max_lines == 0``; the distinct-line capacity cap is
-subsumed by the alignment cut for power-of-two ``max_lines``).
-:func:`plan_merge_spans` evaluates that predicate column-wise over the
-same batched key matrix the sort planner already builds, so packet
-formation becomes list slicing instead of a scan with per-merge
-bookkeeping.
+occupied.  This module removes that ceiling in two moves, neither of
+which changes a digest-visible effect:
 
 **Inline accounting.**  The core components count each event once, in
 their ``*Stats`` dataclasses and small value->count tallies, and write
@@ -83,7 +72,7 @@ Supporting machinery sharing the same digest boundary:
 
 The kernel only engages for the stock component stack (an *envelope
 check*, mirroring the capture kernel); anything else -- reference MSHR
-files, subclassed coalescers -- delegates to the object engine.
+files, subclassed coalescers -- replays whole on the object loop.
 Configs without the DMC unit are inside the envelope: their rows reach
 the CRQ as single-line packets through
 :meth:`BatchedCoalescer.push_line` instead of sorted sequences.  If an
@@ -98,9 +87,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from operator import itemgetter
 
-import numpy as np
-
-from repro.core.address import CACHE_LINE_SIZE, TYPE_BIT
+from repro.core.address import CACHE_LINE_SIZE
 from repro.core.coalescer import IssuedRequest, MemoryCoalescer, ServicedRequest
 from repro.core.crq import CoalescedRequestQueue, _Slot
 from repro.core.dmc import DMCUnit, split_aligned_runs
@@ -109,7 +96,6 @@ from repro.core.pipeline import PipelinedSortingNetwork
 from repro.core.request import CoalescedRequest, MemoryRequest
 from repro.kernels import KernelCounters
 
-_ADDR_MASK = (1 << TYPE_BIT) - 1
 _LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 _BY_INDEX = itemgetter(1)
 #: Every packet the kernel builds spans an aligned run of 1, 2, 4 or 8
@@ -163,47 +149,6 @@ def supports_batched_coalesce(coalescer: MemoryCoalescer) -> bool:
         and config.line_size == CACHE_LINE_SIZE
         and config.max_packet_lines in (1, 2, 4, 8)
     )
-
-
-def plan_merge_spans(
-    sorted_keys: np.ndarray, lengths: list[int], max_lines: int
-) -> list[list[tuple[int, int]] | None]:
-    """Column-wise DMC merge plans for a batch of sorted sequences.
-
-    ``sorted_keys`` is a ``(groups, width)`` int64 matrix of extended
-    sort keys in network output order (padding lanes hold the invalid
-    key and sort last); ``lengths`` gives each row's valid prefix.
-    Returns, per group, the ``(start, end)`` index spans of the DMC
-    coalescing groups over the sorted requests.
-
-    A new group starts where the type bit changes, the line step
-    exceeds one, or a step of exactly one crosses an aligned
-    ``max_lines`` block boundary -- the same decisions the object
-    :meth:`~repro.core.dmc.DMCUnit.coalesce` scan makes, evaluated as
-    three vectorized comparisons.
-    """
-    line = (sorted_keys & _ADDR_MASK) >> _LINE_SHIFT
-    t = sorted_keys >> TYPE_BIT
-    d = line[:, 1:] - line[:, :-1]
-    boundary = (
-        (t[:, 1:] != t[:, :-1])
-        | (d > 1)
-        | ((d == 1) & ((line[:, 1:] & (max_lines - 1)) == 0))
-    )
-    out: list[list[tuple[int, int]] | None] = []
-    for g, count in enumerate(lengths):
-        if count <= 1:
-            out.append([(0, count)] if count else [])
-            continue
-        spans: list[tuple[int, int]] = []
-        prev = 0
-        for cut in np.flatnonzero(boundary[g, : count - 1]):
-            nxt = int(cut) + 1
-            spans.append((prev, nxt))
-            prev = nxt
-        spans.append((prev, count))
-        out.append(spans)
-    return out
 
 
 class BatchedCoalescer:
@@ -998,19 +943,12 @@ class BatchedCoalescer:
 
     # -- sequence handling ---------------------------------------------------
 
-    def handle_sequence(self, seq, spans=None) -> None:
-        """Lean twin of ``MemoryCoalescer._handle_sequence``.
-
-        ``spans`` is a precomputed merge plan from
-        :func:`plan_merge_spans`; ``None`` computes it scalar (small
-        batches and replan misses).
-        """
+    def handle_sequence(self, seq) -> None:
+        """Lean twin of ``MemoryCoalescer._handle_sequence``."""
         requests = seq.requests
         if seq.is_fence or not requests:
             return
-        packets, done_cycle = self._coalesce(
-            requests, seq.complete_cycle, spans
-        )
+        packets, done_cycle = self._coalesce(requests, seq.complete_cycle)
         # Inlined fast path of :meth:`enqueue`: the CRQ has room for
         # most pushes, so the per-call attribute loads are hoisted out
         # of the packet loop.  Back-pressure falls back to the method
@@ -1049,7 +987,15 @@ class BatchedCoalescer:
         self.drain(done_cycle)
 
     def sequence_spans(self, requests) -> list[tuple[int, int]]:
-        """Scalar merge plan: the boundary predicate over one sequence."""
+        """The ``(start, end)`` DMC groups of one sorted sequence.
+
+        A new group starts where the type changes, the line step
+        exceeds one, or a step of one crosses an aligned
+        ``max_packet_lines`` block (the distinct-line cap is subsumed
+        by that cut for power-of-two sizes): the decisions of the
+        object :meth:`~repro.core.dmc.DMCUnit.coalesce` scan, so packet
+        formation becomes list slicing.
+        """
         n = len(requests)
         max_lines = self._max_lines
         spans = []
@@ -1073,10 +1019,9 @@ class BatchedCoalescer:
         spans.append((start, n))
         return spans
 
-    def _coalesce(self, requests, start_cycle: int, spans):
-        """Lean twin of ``DMCUnit.coalesce`` driven by a merge plan."""
-        if spans is None:
-            spans = self.sequence_spans(requests)
+    def _coalesce(self, requests, start_cycle: int):
+        """Lean twin of ``DMCUnit.coalesce`` over :meth:`sequence_spans`."""
+        spans = self.sequence_spans(requests)
         cc = self._compare_cycles
         max_lines = self._max_lines
         line_size = self._line_size

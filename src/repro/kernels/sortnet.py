@@ -1,12 +1,17 @@
-"""Vectorized execution of the Batcher comparator schedule.
+"""Permutation oracles for the Batcher comparator schedule.
 
-:class:`VectorSortNetwork` runs the exact comparator schedule of a
-:class:`repro.core.sorting.OddEvenMergesortNetwork` over a whole batch
-of flush sequences at once: keys live in a ``(width, sequences)``
-int64 matrix and every comparator becomes a masked column swap.  The
-output is not the sorted keys but the *permutation* each sequence
-underwent, so the replay engine can materialize requests directly in
-network output order.
+:class:`VectorSortNetwork` reproduces the exact comparator schedule of
+a :class:`repro.core.sorting.OddEvenMergesortNetwork`.  Its output is
+not the sorted keys but the *permutation* a sequence underwent, so the
+replay engine can materialize requests directly in network output
+order.  The engine sorts each flush as it happens with
+:meth:`~VectorSortNetwork.sequence_permutation` (one C ``sorted`` call
+when the keys are distinct).  :meth:`~VectorSortNetwork.permutations`
+runs the schedule over a whole batch of sequences at once -- keys in a
+``(width, sequences)`` int64 matrix, every comparator a masked column
+swap -- and no longer feeds the engine: it remains a batch oracle
+that the tests pin against the comparator walk, and the name
+``perfbench/tracing.py`` wraps as ``kernels.sort``.
 
 Exactness notes (these are the properties the differential tests pin):
 
@@ -27,7 +32,7 @@ Exactness notes (these are the properties the differential tests pin):
   padding behind them.  Every later comparator then compares either
   two sorted block-0 wires (no strict ``>``) or a block-0 wire against
   padding (never ``>`` than ``INVALID_KEY``), so no further swap fires.
-  Batched execution therefore always runs the full schedule; stage
+  Both oracles therefore always run the full schedule; stage
   select remains purely a timing/statistics effect, accounted by
   :meth:`repro.core.pipeline.PipelinedSortingNetwork.emit_sorted`.
 
@@ -187,11 +192,11 @@ class VectorSortNetwork:
     def sequence_permutation(self, keys: list[int]) -> list[int]:
         """Output permutation of one short sequence (``len <= width``).
 
-        The scalar fallback the replay engine uses when a flush was not
-        in its precomputed plan: distinct keys take the unique sorted
-        arrangement, duplicate keys walk the padded comparator schedule
-        on (key, position) pairs -- both exactly equal to the object
-        engine's keyed compare-exchange loop.
+        The replay engine's sort for every flush: distinct keys take the
+        unique sorted arrangement, duplicate keys walk the padded
+        comparator schedule on (key, position) pairs -- both exactly
+        equal to the object engine's keyed compare-exchange loop, for
+        either sorter architecture.
         """
         count = len(keys)
         if count > self.width:

@@ -6,8 +6,10 @@ requests/second per figure benchmark — so performance PRs ship with
 before/after evidence and CI can catch throughput regressions.
 
 ``python -m repro perf`` runs a case suite (``repro.perf.cases``),
-writes ``BENCH_perf.json`` at the repo root and compares against the
-checked-in ``benchmarks/perf/baseline.json``; every case also carries
+writes its report to ``--out`` (default the untracked
+``BENCH_perf.local.json``; the checked-in ``BENCH_perf.json`` changes
+only when named) and compares against the checked-in
+``benchmarks/perf/baseline.json``; every case also carries
 a :func:`repro.perf.digest.result_digest` so a perf run doubles as a
 bit-exactness check.  See ``docs/performance.md``.
 """

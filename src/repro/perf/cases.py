@@ -64,9 +64,9 @@ Case kinds
     (``repro.kernels.capture``).  Compare against ``trace_capture`` on
     the same workload for the capture-side engine speedup.
 ``vector_replay``
-    ``trace_replay`` with the columnar kernel engine: flush sequences
-    are partitioned ahead of time and their sort orderings computed in
-    batched comparator passes (``repro.kernels.replay``).  Compare
+    ``trace_replay`` with the columnar kernel engine: one row loop
+    that sorts each flush sequence as it flushes
+    (``repro.kernels.replay``).  Compare
     against ``trace_replay`` for the replay-side engine speedup.
 ``vector_coalesce``
     ``trace_replay`` under the kernel engine with the batched
@@ -75,7 +75,7 @@ Case kinds
     kernel-counter snapshot around the measured repeats recording how
     often the batched DMC/CRQ/MSHR kernel engaged, delegated to the
     object machinery, or fell back on a verification miss.  The
-    report entry carries the plan-predict-verify ``fallback_rate`` as
+    report entry carries the verification-miss ``fallback_rate`` as
     a first-class number (see ``docs/performance.md``), and the
     derived ``vector_coalesce_phase_speedup`` isolates the coalesce
     phase the kernel replaces.
@@ -99,9 +99,10 @@ Case kinds
     Replay from a warm trace store with the case's ``sorter_width`` /
     ``sorter_arch`` overriding the figure config -- the wide-sorter
     design-space axis.  ``sorter_scale`` runs the vector engine
-    (batched permutations; the two-phase presort path when the
-    architecture is two-phase), ``sorter_scale_object`` the object
-    comparator walk whose per-flush cost grows as O(n log^2 n).  Both
+    (one ``sequence_permutation`` per flush: a C ``sorted`` call on
+    distinct keys, the comparator walk on repeated ones),
+    ``sorter_scale_object`` the object comparator walk whose per-flush
+    cost grows as O(n log^2 n).  Both
     pin the batched HMC back end off so the pair isolates the sort
     machinery; the derived ``sorter_scale_speedup`` (wall) and
     ``sorter_scale_phase_speedup`` (coalesce phase) per width are the

@@ -456,7 +456,7 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
             "engaged": engaged,
             "delegated": delegated,
             "fallbacks": fallbacks,
-            # The plan-predict-verify miss rate: what fraction of
+            # The verification miss rate: what fraction of
             # kernel-engaged replays hit a verification miss and
             # re-ran under the object engine.  Digest parity holds
             # either way; a rising rate is a perf smell, not a

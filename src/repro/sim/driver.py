@@ -454,8 +454,8 @@ def _replay_benchmark(
     driven with the same request stream, and the tracer-side
     observables (stats, registry counters, secondary misses) are
     reconstructed from the capture's metadata.  ``engine`` selects the
-    replay loop -- ``"vector"`` batch-precomputes sort orderings and
-    second-phase coalescing effects (:func:`repro.kernels.replay.vector_replay`),
+    replay loop -- ``"vector"`` sorts each flush once and replays the
+    second-phase coalescing effects batched (:func:`repro.kernels.replay.vector_replay`),
     ``"object"`` walks rows one by one; both are digest-identical by
     contract.  If the vector engine's batched coalescing kernel trips a
     verification check mid-run, the partially-mutated stack is
@@ -540,8 +540,8 @@ def run_benchmark(
 
     ``engine`` selects the execution engine (``"vector"`` by default,
     see :mod:`repro.kernels`): the vector engine captures the LLC
-    trace columnar and replays it with batch-precomputed sort
-    orderings, producing a digest-identical result faster.  Platforms
+    trace columnar and replays it on the batched coalescing kernel,
+    producing a digest-identical result faster.  Platforms
     the vector capture cannot model exactly (LLC prefetching) fall
     back to the object path automatically.
     """

@@ -11,7 +11,7 @@ every cell a worker executes:
 * each worker builds one :class:`~repro.trace.TraceStore` at startup
   (mmap-backed when the sweep has a ``trace_dir``) and keeps it for
   its whole life, so repeated trace keys hit the store's in-memory
-  tier -- including the buffer's decoded-column/plan replay cache --
+  tier -- including the buffer's decoded-column replay cache --
   instead of re-reading the file;
 * the scheduler is *grouped*: pending cells are bucketed by their
   trace key and a worker drains its current bucket before taking a

@@ -8,9 +8,12 @@ bit-identical -- compared both as full metric dictionaries and as
 
 The platform uses deliberately tiny caches so short streams still
 produce dense LLC miss traffic, and the coalescer configs cover the
-regimes the merge-plan join has to get right:
+regimes the merge join has to get right:
 
 * the stock ``combined`` config (DMC + dynamic MSHRs);
+* one ``combined`` config per example with a drawn sorter (width 2 to
+  128, single- or two-phase, timeout 1 to 100 cycles), since every
+  flush the engine sorts goes through that width's permutation;
 * the configs without the DMC unit (``uncoalesced``, ``mshr_only``),
   where every LLC request is a single-line packet, with stage-select
   bypass on and off;
@@ -41,6 +44,7 @@ from repro.core.config import (
     CoalescerConfig,
 )
 from repro.core.request import Access, RequestType
+from repro.core.sorting import SORTER_ARCHITECTURES
 from repro.kernels.coalesce import kernel_counters
 from repro.perf.digest import result_digest
 from repro.sim.driver import PlatformConfig, run_benchmark
@@ -73,6 +77,27 @@ _RANDOM_CONFIGS = (
 )
 #: Merge-while-full configs, multi-line and single-line packets.
 _FULL_CONFIGS = (_TINY_MSHRS, *_bypass_on_and_off(_TINY_MSHR_ONLY))
+
+
+def _sorter_config(width: int) -> st.SearchStrategy[CoalescerConfig]:
+    """The combined config behind a drawn ``width``-wide sorter."""
+    archs = SORTER_ARCHITECTURES if width >= 4 else ("single_phase",)
+    return st.builds(
+        lambda arch, timeout: replace(
+            _COMBINED,
+            sorter_width=width,
+            sorter_arch=arch,
+            timeout_cycles=timeout,
+        ),
+        st.sampled_from(archs),
+        st.sampled_from((1, 10, 40, 100)),
+    )
+
+
+#: One DMC config per example with a drawn sorter: widths around the
+#: stock 16, both architectures where the width allows two-phase, and
+#: timeouts from every-row flushes to longer than most spans live.
+_SORTER_CONFIGS = st.sampled_from((2, 8, 32, 64, 128)).flatmap(_sorter_config)
 
 
 def _platform(accesses: int, coalescer: CoalescerConfig) -> PlatformConfig:
@@ -157,9 +182,9 @@ def _assert_engines_match(events: list[Access], coalescer: CoalescerConfig):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(rows=_EVENT_ROWS)
-def test_random_flush_batches_match_object_engine(rows):
-    for coalescer in _RANDOM_CONFIGS:
+@given(rows=_EVENT_ROWS, sorter=_SORTER_CONFIGS)
+def test_random_flush_batches_match_object_engine(rows, sorter):
+    for coalescer in (*_RANDOM_CONFIGS, sorter):
         _assert_engines_match(_to_accesses(rows), coalescer)
 
 

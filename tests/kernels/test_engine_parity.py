@@ -259,30 +259,35 @@ def _stock_coalescer(platform, config):
 
 @pytest.mark.parametrize("config", ("uncoalesced", "combined"))
 def test_misaligned_trace_row_fails_at_decode(stored_traces, config):
-    """A non-fence row off a line boundary is hostile input.  The
-    vector engine rejects it while decoding the columns, before any
-    kernel state exists, with a TraceError naming the row; the object
-    engine still raises the request's own ValueError when it gets
-    there."""
+    """A non-fence row off a line boundary is hostile input, also when
+    the address is a multiple of the row's own size.  The vector engine
+    rejects it while decoding the columns, before any kernel state
+    exists, with a TraceError naming the row; the object engine raises
+    the request's own ValueError when it gets there."""
     platform, buffers = stored_traces
-    hostile = TraceBuffer.from_bytes(buffers["SG"].to_bytes())
-    row = next(
-        i
-        for i in range(len(hostile) // 2, len(hostile))
-        if hostile.flags[i] & 0b11 != int(RequestType.FENCE)
-    )
-    hostile.addrs[row] += 8
     cfg = FIGURE_CONFIGS[config]
+    # The row keeps its line size, then takes a size its shifted
+    # address is a multiple of.
+    for size in (None, 8):
+        hostile = TraceBuffer.from_bytes(buffers["SG"].to_bytes())
+        row = next(
+            i
+            for i in range(len(hostile) // 2, len(hostile))
+            if hostile.flags[i] & 0b11 != int(RequestType.FENCE)
+        )
+        hostile.addrs[row] += 8
+        if size is not None:
+            hostile.sizes[row] = size
 
-    coal = _stock_coalescer(platform, cfg)
-    engaged = coalesce_kernel.COUNTERS.engaged
-    with pytest.raises(TraceError, match=f"trace row {row}:"):
-        vector_replay(hostile, coalescer=coal)
-    assert coalesce_kernel.COUNTERS.engaged == engaged
-    assert coal.mshrs.stats.offered == 0 and coal.crq.stats.pushes == 0
+        coal = _stock_coalescer(platform, cfg)
+        engaged = coalesce_kernel.COUNTERS.engaged
+        with pytest.raises(TraceError, match=f"trace row {row}:"):
+            vector_replay(hostile, coalescer=coal)
+        assert coalesce_kernel.COUNTERS.engaged == engaged
+        assert coal.mshrs.stats.offered == 0 and coal.crq.stats.pushes == 0
 
-    with pytest.raises(ValueError, match="not line aligned"):
-        replay_trace(hostile, coalescer=_stock_coalescer(platform, cfg))
+        with pytest.raises(ValueError, match="MemoryRequest .* not line aligned"):
+            replay_trace(hostile, coalescer=_stock_coalescer(platform, cfg))
 
 
 @pytest.mark.parametrize("config", tuple(FIGURE_CONFIGS))
@@ -322,10 +327,18 @@ def test_prefetch_platforms_fall_back_to_the_object_path():
 @pytest.mark.parametrize("config", ("uncoalesced", "combined"))
 def test_non_stock_stacks_delegate_to_the_object_machinery(monkeypatch, config):
     """A stack outside the kernel envelope (here the reference MSHR
-    file) delegates: without the DMC unit to the object replay loop,
-    with it to the object DMC/CRQ/MSHR methods."""
+    file) delegates, with or without the DMC unit: the whole trace
+    replays once on the object replay loop."""
     import repro.core.coalescer as coalescer_module
     from repro.core.mshr_reference import ReferenceMSHRFile
+    from repro.kernels import replay as replay_module
+
+    object_replays = []
+    object_replay = replay_module.replay_trace
+
+    def counted(*args, **kwargs):
+        object_replays.append(args)
+        return object_replay(*args, **kwargs)
 
     platform = PlatformConfig(accesses=900)
     coalescer = FIGURE_CONFIGS[config]
@@ -335,6 +348,7 @@ def test_non_stock_stacks_delegate_to_the_object_machinery(monkeypatch, config):
     monkeypatch.setattr(
         coalescer_module, "DEFAULT_MSHR_FACTORY", ReferenceMSHRFile
     )
+    monkeypatch.setattr(replay_module, "replay_trace", counted)
     before = coalesce_kernel.kernel_counters()
     vec = run_benchmark(
         "FT", platform=platform, coalescer=coalescer, engine="vector"
@@ -342,6 +356,7 @@ def test_non_stock_stacks_delegate_to_the_object_machinery(monkeypatch, config):
     after = coalesce_kernel.kernel_counters()
     assert after["engaged"] == before["engaged"]
     assert after["delegated"] == before["delegated"] + 1
+    assert len(object_replays) == 1
     assert result_digest(vec) == result_digest(obj)
 
 

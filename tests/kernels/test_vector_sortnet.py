@@ -4,7 +4,8 @@ The vector sorter's contract is *permutation equality* with the object
 engine's keyed compare-exchange loop -- not merely sorted output.  The
 network is not a stable sort (a comparator spanning other wires can
 reorder equal keys), so the only correct specification for duplicate
-keys is the comparator schedule itself; these tests pin the batched
+keys is the comparator schedule itself; these tests pin the per-flush
+sort the replay engine runs, at every sorter width, and the batched
 NumPy execution against :meth:`OddEvenMergesortNetwork.apply_items`
 and :meth:`~OddEvenMergesortNetwork.apply_prefix_stages` directly.
 """
@@ -19,8 +20,11 @@ from repro.core.sorting import OddEvenMergesortNetwork
 from repro.kernels.sortnet import VectorSortNetwork
 
 WIDTHS = (4, 8, 16)
-_NETS = {w: OddEvenMergesortNetwork(w) for w in WIDTHS}
-_VSNS = {w: VectorSortNetwork(_NETS[w]) for w in WIDTHS}
+#: Every width a config can flush at: the replay engine sorts each
+#: flush with ``sequence_permutation``, so it is pinned at all of them.
+SEQUENCE_WIDTHS = (2, *WIDTHS, 32, 64, 128)
+_NETS = {w: OddEvenMergesortNetwork(w) for w in SEQUENCE_WIDTHS}
+_VSNS = {w: VectorSortNetwork(_NETS[w]) for w in SEQUENCE_WIDTHS}
 
 #: Small alphabet so hypothesis hits duplicate keys constantly -- the
 #: regime where argsort would diverge from the comparator walk.
@@ -45,7 +49,7 @@ def _padded_matrix(width: int, sequences: list[list[int]]) -> np.ndarray:
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_sequence_permutation_matches_object_walk(data):
-    width = data.draw(st.sampled_from(WIDTHS))
+    width = data.draw(st.sampled_from(SEQUENCE_WIDTHS))
     keys = data.draw(st.lists(_keys, min_size=0, max_size=width))
     assert _VSNS[width].sequence_permutation(keys) == _object_permutation(
         width, keys

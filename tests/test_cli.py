@@ -351,6 +351,34 @@ class TestPerfUpdateBaseline:
         ) == ("smoke", 5, 0.007)
         assert merged["cases"]["SG/combined@600"]["digest"] == "ccc"
 
+    def test_filtered_update_leaves_the_checked_in_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A local re-record writes its report to an untracked path by
+        default; the checked-in ``BENCH_perf.json`` changes only when
+        ``--out`` names it."""
+        import repro.perf
+        from repro.perf import load_report, save_report
+
+        monkeypatch.chdir(tmp_path)
+        checked_in = tmp_path / "BENCH_perf.json"
+        save_report(self._report("aaa"), checked_in)
+        before = checked_in.read_bytes()
+        baseline = tmp_path / "baseline.json"
+        save_report(self._report("aaa"), baseline)
+        monkeypatch.setattr(
+            repro.perf,
+            "run_suite",
+            lambda cases, **kwargs: self._report("aaa", name=cases[0].name),
+        )
+        argv = [
+            "perf", "--suite", "smoke", "--filter", "vector_hmc:*",
+            "--update-baseline", "--baseline", str(baseline), "--quiet",
+        ]
+        assert main(argv) == 0
+        assert checked_in.read_bytes() == before
+        assert load_report(tmp_path / "BENCH_perf.local.json")["cases"]
+
     def test_creates_baseline_when_absent(self, tmp_path, capsys):
         from repro.__main__ import _update_baseline
         from repro.perf import load_report
