@@ -24,8 +24,9 @@ the merge-while-full pass marks every queued request with the current
 ``alloc_gen``, so re-running it is a no-op, and the head's re-offer
 deterministically records one offer + occupancy + rejection.  The
 kernel memoizes that terminal state as ``(head slot, alloc_gen,
-retire count)`` and replays repeats as three counter updates.  Any
-allocation or retirement invalidates the memo; an enqueue does not.
+retire count)`` and replays repeats as one count (see *folded
+counts* below).  Any allocation or retirement invalidates the memo;
+an enqueue does not.
 A pushed packet lands behind the head, which stays checked clean
 with an empty allocation log, so the head's re-offer is still a
 rejection and the memo-hit drain only adds the merge-while-full pass
@@ -37,6 +38,40 @@ flushes the whole run through :meth:`BatchedCoalescer.drain_hits_bulk`
 -- which re-verifies the memo (head identity, ``alloc_gen``, retire
 count) before applying the batch -- immediately before anything
 mutates CRQ/MSHR state.
+
+**The saturated step.**  The paper sizes the CRQ to the MSHR file so
+that a freed entry is re-occupied at once (Section 3.2.2), and the
+replay spends nearly all its time in that state: a packet meets a full
+CRQ, the back-pressure round advances to the earliest completion, one
+entry retires, the CRQ head allocates into it and leaves, and the
+packet takes the freed slot.  :meth:`BatchedCoalescer.enqueue` runs
+that round as one step in its own frame when all of these hold:
+exactly one entry is due at the advanced cycle, the free heap is empty
+(so the due entry's index is the only free one), no streams are
+recorded, and the head is a request whose offer cannot merge (no MSHR
+coalescing, or it is checked clean and the allocation log is empty).
+The step retires the due entry, allocates the head into that same
+entry (one ``heapreplace`` on the completion heap, no free-heap
+traffic), pops it, and offers the next head: if that one cannot merge
+either, the step rejects and memoizes it, running the merge pass only
+for fresh packets.  Any other state hands over to
+:meth:`BatchedCoalescer._drain_full` at the point reached -- two due
+entries, a fence or a fresh packet at the head, logged entries --
+which is exact because the drain keeps no state between heads.  The
+room check then repeats, because a case-B split may have left the
+queue deeper than its depth.
+
+**Folded counts.**  The saturated state fixes the keys of its counts:
+a step is one completion, one offer at occupancy M-1, one allocation
+and one CRQ pop; a rejection at a full file (the step's, and every
+memo-hit drain's) is one offer at occupancy M; a push that fills the
+CRQ adds to its full-depth tally.  The kernel counts these three
+events and :meth:`BatchedCoalescer.finish` folds them into the stats
+and tallies once, before :meth:`BatchedCoalescer.finalize`.  Tallies
+publish in sorted value order, so when they are added does not change
+a digest.  Everything that depends on the packet or on order stays per
+packet: the retired entry's subentry count, ``subentries_added``, the
+fill window and its timeline record, and ``max_occupancy``.
 
 Supporting machinery sharing the same digest boundary:
 
@@ -74,8 +109,8 @@ The kernel only engages for the stock component stack (an *envelope
 check*, mirroring the capture kernel); anything else -- reference MSHR
 files, subclassed coalescers -- replays whole on the object loop.
 Configs without the DMC unit are inside the envelope: their rows reach
-the CRQ as single-line packets through
-:meth:`BatchedCoalescer.push_line` instead of sorted sequences.  If an
+the CRQ as single-line packets through :meth:`BatchedCoalescer.enqueue`
+and a drain, instead of sorted sequences.  If an
 invariant the kernel relies on is violated mid-run it raises
 :class:`CoalesceKernelError`; the driver catches it, rebuilds the
 component stack and re-runs the object replay, so a verification miss
@@ -84,7 +119,7 @@ costs one retry, never a wrong digest.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 
 from repro.core.address import CACHE_LINE_SIZE
@@ -98,6 +133,8 @@ from repro.kernels import KernelCounters
 
 _LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 _BY_INDEX = itemgetter(1)
+#: CRQ slots are built without their generated ``__init__``.
+_new = object.__new__
 #: Every packet the kernel builds spans an aligned run of 1, 2, 4 or 8
 #: lines (the envelope plus ``split_aligned_runs``), so it skips the
 #: validating constructor.
@@ -159,8 +196,9 @@ class BatchedCoalescer:
     ``_complete_up_to`` / ``_handle_sequence`` / ``_drain_crq`` /
     ``flush`` internals inside the vector replay loop.  Structural
     state and statistics live in the wrapped components (see the module
-    docstring); :meth:`finish` retires the run at end of trace and
-    :meth:`finalize` finishes the HMC back end's accounting.
+    docstring); :meth:`finish` retires the run at end of trace, folds
+    the saturated state's counts, and calls :meth:`finalize`, which
+    finishes the HMC back end's accounting.
     """
 
     def __init__(
@@ -236,6 +274,13 @@ class BatchedCoalescer:
         #: ``_valid_count`` first).
         self._c_heap: list[tuple[int, int]] = []
         self._finalized = False
+        #: Saturated steps, rejections at a full file and pushes that
+        #: fill the CRQ, folded into the stats and tallies by
+        #: :meth:`finish` (see *Folded counts* in the module docstring).
+        self._steps = 0
+        self._rejects = 0
+        self._full_pushes = 0
+        self._num_entries = len(coalescer.mshrs.entries)
 
         # Statistics go straight into the wrapped components' stats
         # and tallies (a fallback discards the whole stack, so a
@@ -340,9 +385,11 @@ class BatchedCoalescer:
 
         A memoized no-progress drain (head unchanged, no allocation or
         retirement since) replays as the deterministic offer/reject
-        accounting it would produce, plus the merge-while-full pass
-        over packets pushed since -- or as a pure no-op for a fence
-        head blocked on busy MSHRs.
+        accounting it would produce -- one offer at the full
+        occupancy the memo implies, one rejection, counted in
+        ``_rejects`` -- plus the merge-while-full pass over packets
+        pushed since, or as a pure no-op for a fence head blocked on
+        busy MSHRs.
         """
         memo = self._memo
         if memo is not None:
@@ -355,19 +402,35 @@ class BatchedCoalescer:
                 and self._retires == retires
             ):
                 if not fence:
-                    mstats = self._mstats
-                    mstats.offered += 1
-                    occ = self._mshrs._valid_count
-                    d_occ = self._occupancy
-                    d_occ[occ] = d_occ.get(occ, 0) + 1
-                    mstats.rejected_full += 1
+                    # One offer at full occupancy, one rejection
+                    # (counted in ``_rejects``, folded at finish).
+                    self._rejects += 1
                     # The full drain would end exactly here: the head
                     # is checked clean and the allocation log is empty
                     # (no allocation since the pass that set the memo),
                     # so its re-offer can only be rejected.  What is
                     # left is that drain's merge pass, which only has
-                    # work when pushes added unchecked packets.
-                    if self._unchecked:
+                    # work when pushes added unchecked packets.  Its
+                    # common case, one fresh single-line packet ahead
+                    # of any fence, is a miss-first check inline.
+                    unchecked = self._unchecked
+                    if unchecked:
+                        if len(unchecked) == 1 and not self._fences:
+                            (fresh,) = unchecked.values()
+                            req = fresh.request
+                            key = (req.rtype, req.addr >> _LINE_SHIFT)
+                            if (
+                                req.num_lines == 1
+                                and key not in self._line_index
+                            ):
+                                unchecked.clear()
+                                queued = self._queue_index
+                                bucket = queued.get(key)
+                                if bucket is None:
+                                    queued[key] = [fresh]
+                                else:
+                                    bucket.append(fresh)
+                                return
                         self._merge_waiting_pass()
                 return
             self._memo = None
@@ -378,9 +441,9 @@ class BatchedCoalescer:
 
         The replay loop counts consecutive per-row drains between state
         changes instead of calling :meth:`drain` for each: a memoized
-        drain's accounting (one offer at the current occupancy, one
-        rejection) is cycle-independent, so a run of them applies as a
-        single bulk update.  The memo is re-verified here; the caller
+        drain's accounting (one offer at full occupancy, one rejection)
+        is cycle-independent, so a run of them applies as a single bulk
+        count.  The memo is re-verified here; the caller
         flushing before every mutation should make that vacuous, so a
         stale memo means the engine contract broke (fallback).
         """
@@ -396,14 +459,8 @@ class BatchedCoalescer:
             or self._retires != retires
         ):
             raise CoalesceKernelError("bulk-drain-memo-stale")
-        if fence:
-            return
-        mstats = self._mstats
-        mstats.offered += count
-        occ = self._mshrs._valid_count
-        d_occ = self._occupancy
-        d_occ[occ] = d_occ.get(occ, 0) + count
-        mstats.rejected_full += count
+        if not fence:
+            self._rejects += count
 
     def _drain_full(self, cycle: int) -> None:
         slots = self._slots
@@ -882,64 +939,194 @@ class BatchedCoalescer:
     def enqueue(self, packet: CoalescedRequest, cycle: int) -> None:
         """Lean twin of ``MemoryCoalescer._enqueue_packet`` + CRQ push.
 
-        The push keeps the drain memo: a fresh packet joins
-        ``_unchecked``, and a memo-hit drain runs the merge pass that
-        checks it (see :meth:`drain`).
+        While the CRQ is full, each back-pressure round advances to the
+        earliest MSHR completion and runs as one saturated step or as
+        the general retire and drain (see the module docstring).  The
+        push keeps the drain memo: a fresh packet joins ``_unchecked``,
+        and a memo-hit drain runs the merge pass that checks it (see
+        :meth:`drain`).
         """
         slots = self._slots
         depth_limit = self._depth
-        heap = self._c_heap
-        complete_up_to = self.complete_up_to
-        drain_full = self._drain_full
-        while True:
-            if len(slots) < depth_limit:
-                slot = _Slot(packet, cycle)
-                slots.append(slot)
-                if self._coalescing:
-                    self._unchecked[id(slot)] = slot
-                cstats = self._cstats
-                cstats.pushes += 1
-                depth = len(slots)
-                if depth > cstats.max_occupancy:
-                    cstats.max_occupancy = depth
-                d_depth = self._depth_counts
-                d_depth[depth] = d_depth.get(depth, 0) + 1
-                window = self._fill_window
-                window.append(packet.issue_cycle)
-                if len(window) >= depth_limit:
-                    fill_cycles = window[-1] - window[0]
-                    if fill_cycles < 0:
-                        fill_cycles = 0
-                    cstats.fills += 1
-                    cstats.total_fill_cycles += fill_cycles
-                    d_fill = self._fill_counts
-                    d_fill[fill_cycles] = d_fill.get(fill_cycles, 0) + 1
-                    window.clear()
-                    self._timeline.record(cycle, "crq", "fill", fill_cycles)
-                return
-            # Back-pressure: advance to the earliest MSHR completion so
-            # a slot can drain.  The advance guarantees the completion
-            # pass retires something whenever the heap is non-empty
-            # (and an empty heap means no entries, hence no reject
-            # memo), so the drain memo is always stale here: skip the
-            # memo check and run the full drain directly.
+        while len(slots) >= depth_limit:
+            # The advance guarantees the completion pass retires
+            # something whenever the heap is non-empty (and an empty
+            # heap means no entries, hence no reject memo), so the drain
+            # memo is always stale here.
+            heap = self._c_heap
             horizon = heap[0][0] if heap else cycle + 1
             cycle = cycle + 1 if cycle + 1 > horizon else horizon
-            complete_up_to(cycle)
+            m = self._mshrs
+            slot = slots[0]
+            head = slot.request
+            coalescing = self._coalescing
+            if (
+                m._free_heap
+                or head is None
+                or self._serviced is not None
+                or (len(heap) > 1 and heap[1][0] <= cycle)
+                or (len(heap) > 2 and heap[2][0] <= cycle)
+                or (
+                    coalescing
+                    and (self._alloc_log or id(slot) in self._unchecked)
+                )
+            ):
+                self.complete_up_to(cycle)
+                self._memo = None
+                self._drain_full(cycle)
+                continue
+            # The saturated step.  The due entry's index is the only
+            # free one once it retires, so the head allocates straight
+            # into it: no free-heap push/pop, one heapreplace.
+            idx = heap[0][1]
+            entry = m.entries[idx]
+            d_subs = self._entry_subs
+            n_subs = len(entry.subentries)
+            d_subs[n_subs] = d_subs.get(n_subs, 0) + 1
+            self._retires += 1
+            if self._adaptive:
+                self._shrink(head)
+            at = cycle if cycle >= head.issue_cycle else head.issue_cycle
+            addr = head.addr
+            num_lines = head.num_lines
+            rtype = head.rtype
+            base = addr >> _LINE_SHIFT
+            constituents = head.constituents
+            for req in constituents:
+                if not 0 <= req.line - base < num_lines:
+                    raise CoalesceKernelError("subentry-line-out-of-range")
+            if coalescing:
+                # Retire the old span from the line index, take the head
+                # out of the join, then index the new span; the entry is
+                # logged if a request still queued shares one of its
+                # lines (see :meth:`_alloc_entry`).
+                index = self._line_index
+                queued = self._queue_index
+                t = entry.rtype
+                eb = entry.addr >> _LINE_SHIFT
+                for line in (
+                    (eb,) if entry.num_lines == 1
+                    else range(eb, eb + entry.num_lines)
+                ):
+                    bucket = index.get((t, line))
+                    if bucket is not None:
+                        try:
+                            bucket.remove(entry)
+                        except ValueError:
+                            pass
+                        if not bucket:
+                            del index[(t, line)]
+                if num_lines == 1:
+                    key = (rtype, base)
+                    bucket = queued[key]
+                    if len(bucket) == 1 and bucket[0] is slot:
+                        del queued[key]
+                    else:
+                        self._unindex_slot(slot)
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = [entry]
+                    else:
+                        bucket.append(entry)
+                    shared = key in queued
+                else:
+                    self._unindex_slot(slot)
+                    shared = False
+                    for line in range(base, base + num_lines):
+                        key = (rtype, line)
+                        bucket = index.get(key)
+                        if bucket is None:
+                            index[key] = [entry]
+                        else:
+                            bucket.append(entry)
+                        if key in queued:
+                            shared = True
+                if shared:
+                    self._alloc_log.append(entry)
+            hmc = self._hmc
+            if hmc is None:
+                complete = at + self._service_time(head, at)
+            else:
+                complete = hmc.service(head, at)
+            entry.addr = addr
+            entry.num_lines = num_lines
+            entry.rtype = rtype
+            entry.subentries = constituents
+            entry.issue_cycle = at
+            entry.complete_cycle = complete
+            m.alloc_gen += 1
+            heapreplace(heap, (complete, idx))
+            self._mstats.subentries_added += len(constituents)
+            self._steps += 1
+            slots.popleft()
+            # Offer the next head.  If it cannot merge either, it is
+            # rejected and memoized here; otherwise the general drain
+            # takes over at this point (it keeps no state between heads).
             self._memo = None
-            drain_full(cycle)
-
-    def push_line(self, request: MemoryRequest, cycle: int) -> None:
-        """Lean twin of the non-DMC branch of ``MemoryCoalescer.push``.
-
-        Without the DMC unit each LLC request becomes one single-line
-        packet, offered to the CRQ and drained at once.
-        """
-        self.enqueue(
-            _span_packet(request.addr, 1, request.rtype, [request], cycle),
-            cycle,
-        )
-        self.drain(cycle)
+            if not slots:
+                continue
+            slot = slots[0]
+            head = slot.request
+            if head is None or (
+                coalescing
+                and (self._alloc_log or id(slot) in self._unchecked)
+            ):
+                self._drain_full(cycle)
+                continue
+            if self._adaptive:
+                self._shrink(head)
+            self._rejects += 1
+            unchecked = self._unchecked
+            if unchecked:
+                # The rejection's merge pass.  Its common case, one
+                # fresh single-line packet ahead of any fence, is a
+                # miss-first check inline (the log is empty).
+                fresh = None
+                if len(unchecked) == 1 and not self._fences:
+                    (fresh,) = unchecked.values()
+                    req = fresh.request
+                    key = (req.rtype, req.addr >> _LINE_SHIFT)
+                    if req.num_lines != 1 or key in self._line_index:
+                        fresh = None
+                if fresh is None:
+                    self._merge_waiting_pass()
+                else:
+                    unchecked.clear()
+                    queued = self._queue_index
+                    bucket = queued.get(key)
+                    if bucket is None:
+                        queued[key] = [fresh]
+                    else:
+                        bucket.append(fresh)
+            self._memo = (slot, m.alloc_gen, self._retires, False)
+        slot = _new(_Slot)
+        slot.request = packet
+        slot.enqueue_cycle = cycle
+        slots.append(slot)
+        if self._coalescing:
+            self._unchecked[id(slot)] = slot
+        cstats = self._cstats
+        depth = len(slots)
+        if depth > cstats.max_occupancy:
+            cstats.max_occupancy = depth
+        if depth == depth_limit:
+            self._full_pushes += 1
+        else:
+            cstats.pushes += 1
+            d_depth = self._depth_counts
+            d_depth[depth] = d_depth.get(depth, 0) + 1
+        window = self._fill_window
+        window.append(packet.issue_cycle)
+        if len(window) >= depth_limit:
+            fill_cycles = window[-1] - window[0]
+            if fill_cycles < 0:
+                fill_cycles = 0
+            cstats.fills += 1
+            cstats.total_fill_cycles += fill_cycles
+            d_fill = self._fill_counts
+            d_fill[fill_cycles] = d_fill.get(fill_cycles, 0) + 1
+            window.clear()
+            self._timeline.record(cycle, "crq", "fill", fill_cycles)
 
     # -- sequence handling ---------------------------------------------------
 
@@ -949,41 +1136,9 @@ class BatchedCoalescer:
         if seq.is_fence or not requests:
             return
         packets, done_cycle = self._coalesce(requests, seq.complete_cycle)
-        # Inlined fast path of :meth:`enqueue`: the CRQ has room for
-        # most pushes, so the per-call attribute loads are hoisted out
-        # of the packet loop.  Back-pressure falls back to the method
-        # (every container touched here mutates in place, so the
-        # hoisted bindings stay valid across that call).
-        slots = self._slots
-        depth_limit = self._depth
-        unchecked = self._unchecked if self._coalescing else None
-        cstats = self._cstats
-        d_depth = self._depth_counts
-        window = self._fill_window
+        enqueue = self.enqueue
         for packet in packets:
-            if len(slots) >= depth_limit:
-                self.enqueue(packet, done_cycle)
-                continue
-            slot = _Slot(packet, done_cycle)
-            slots.append(slot)
-            if unchecked is not None:
-                unchecked[id(slot)] = slot
-            cstats.pushes += 1
-            depth = len(slots)
-            if depth > cstats.max_occupancy:
-                cstats.max_occupancy = depth
-            d_depth[depth] = d_depth.get(depth, 0) + 1
-            window.append(packet.issue_cycle)
-            if len(window) >= depth_limit:
-                fill_cycles = window[-1] - window[0]
-                if fill_cycles < 0:
-                    fill_cycles = 0
-                cstats.fills += 1
-                cstats.total_fill_cycles += fill_cycles
-                d_fill = self._fill_counts
-                d_fill[fill_cycles] = d_fill.get(fill_cycles, 0) + 1
-                window.clear()
-                self._timeline.record(done_cycle, "crq", "fill", fill_cycles)
+            enqueue(packet, done_cycle)
         self.drain(done_cycle)
 
     def sequence_spans(self, requests) -> list[tuple[int, int]]:
@@ -1093,6 +1248,8 @@ class BatchedCoalescer:
         The vector engine never uses the pipeline's front buffer, so
         the object path's ``pipeline.drain`` here is a guaranteed
         no-op; a non-empty buffer means the engine contract broke.
+        Once the run has retired, the folded counts (see the module
+        docstring) are added to the stats and tallies, once.
         """
         self.complete_up_to(cycle)
         if self._pipeline.pending():
@@ -1114,6 +1271,29 @@ class BatchedCoalescer:
             guard += 1
             if guard > 10_000_000:  # pragma: no cover - defensive
                 raise CoalesceKernelError("drain-guard-exceeded")
+        # Fold the fixed-key counts.  Tallies publish in sorted value
+        # order, so when they are added does not change a digest.
+        mstats = self._mstats
+        d_occ = self._occupancy
+        full = self._num_entries
+        steps = self._steps
+        if steps:
+            mstats.offered += steps
+            mstats.allocated += steps
+            mstats.completions += steps
+            self._cstats.pops += steps
+            d_occ[full - 1] = d_occ.get(full - 1, 0) + steps
+        rejects = self._rejects
+        if rejects:
+            mstats.offered += rejects
+            mstats.rejected_full += rejects
+            d_occ[full] = d_occ.get(full, 0) + rejects
+        pushes = self._full_pushes
+        if pushes:
+            self._cstats.pushes += pushes
+            d_depth = self._depth_counts
+            d_depth[self._depth] = d_depth.get(self._depth, 0) + pushes
+        self._steps = self._rejects = self._full_pushes = 0
         self.finalize()
 
     def finalize(self) -> None:

@@ -353,7 +353,9 @@ def _compile_service(
         payload = request.payload_bytes
         if payload is None:
             payload = request.num_lines * CACHE_LINE_SIZE
-        requested = request.requested_bytes
+        requested = request._requested_bytes
+        if requested < 0:
+            requested = request.requested_bytes
         if requested >= payload:
             requested = payload
         addr = request.addr

@@ -18,9 +18,11 @@ sequence exactly; the parity cells in ``scripts/check_perf_parity.py``
 and the differential tests pin it.
 
 Configurations without the DMC unit never sort: each row becomes a
-single-line packet.  They run a short row loop on the same kernel,
-:meth:`~repro.kernels.coalesce.BatchedCoalescer.push_line` replaying
-the non-DMC branch of :meth:`MemoryCoalescer.push`.  Component stacks
+single-line packet.  They run a short row loop on the same kernel that
+replays the non-DMC branch of :meth:`MemoryCoalescer.push`: the packet
+goes to :meth:`~repro.kernels.coalesce.BatchedCoalescer.enqueue`, then
+the CRQ drains.  Both loops build their requests and packets with the
+unchecked constructors directly, one call each.  Component stacks
 outside the kernel's envelope replay whole on the object loop
 (:func:`repro.trace.replay.replay_trace`).
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from repro.core.address import CACHE_LINE_SIZE, TYPE_BIT
 from repro.core.coalescer import MemoryCoalescer
-from repro.core.request import MemoryRequest, RequestType
+from repro.core.request import CoalescedRequest, MemoryRequest, RequestType
 from repro.kernels.coalesce import (
     COUNTERS,
     BatchedCoalescer,
@@ -88,8 +90,11 @@ def vector_replay(
     mark = clock()
 
     cache, decoded = _decoded_columns(buffer)
-    cycles_l, _, flags_l, _, _, keys_l = decoded
-    request_at = _request_builder(decoded)
+    cycles_l, addrs_l, flags_l, sizes_l, requested_l, keys_l = decoded
+    # Requests are built unchecked (the decode validated the rows) and
+    # fresh for every push: the coalescer keeps pushed requests in
+    # packet constituents and MSHR subentries, so no two may share one.
+    from_row = MemoryRequest.from_trace_row
 
     pipeline = coalescer.pipeline
     permutation = VectorSortNetwork(pipeline.network).sequence_permutation
@@ -121,7 +126,15 @@ def vector_replay(
         perm = permutation([keys_l[j] for j in span])
         # The span's requests are built as it flushes, so each lives
         # only as long as the packets and MSHR entries holding it.
-        requests = [request_at(span[p]) for p in perm]
+        requests = [
+            from_row(
+                addrs_l[j],
+                _STORE if flags_l[j] & 0b01 else _LOAD,
+                sizes_l[j],
+                requested_l[j],
+            )
+            for j in map(span.__getitem__, perm)
+        ]
         seq = emit_sorted(
             requests,
             count=len(span),
@@ -182,7 +195,15 @@ def vector_replay(
             if pending:
                 drain_bulk(pending)
                 pending = 0
-            kernel.bypass(request_at(i), c)
+            kernel.bypass(
+                from_row(
+                    addrs_l[i],
+                    _STORE if f & 0b01 else _LOAD,
+                    sizes_l[i],
+                    requested_l[i],
+                ),
+                c,
+            )
             stale = True
             continue
         if span and c - first >= timeout:
@@ -307,28 +328,6 @@ def _np_column(column, dtype) -> np.ndarray:
     return np.frombuffer(column, dtype=dtype)
 
 
-def _request_builder(decoded: tuple):
-    """``j -> MemoryRequest`` over the decoded columns' non-fence rows.
-
-    Every call builds a fresh request: the coalescer keeps pushed
-    requests in packet constituents and MSHR subentries, so no two
-    pushes may share one.  :func:`_decoded_columns` validated the
-    rows, so requests are built unchecked.
-    """
-    addrs_l, flags_l, sizes_l, requested_l = decoded[1:5]
-    from_row = MemoryRequest.from_trace_row
-
-    def request_at(j: int) -> MemoryRequest:
-        return from_row(
-            addrs_l[j],
-            _STORE if flags_l[j] & 0b01 else _LOAD,
-            sizes_l[j],
-            requested_l[j],
-        )
-
-    return request_at
-
-
 def _replay_single_lines(
     buffer: TraceBuffer,
     coalescer: MemoryCoalescer,
@@ -338,17 +337,18 @@ def _replay_single_lines(
 
     Replays the non-DMC branch of ``MemoryCoalescer.push`` row by row:
     a fence takes its sorter slot and its CRQ marker, and every other
-    row is either bypassed or offered as one single-line packet through
-    :meth:`BatchedCoalescer.push_line`.  Each row's request is built as
-    the row comes, so the run never holds a list of all of them.
-    Profiler phases match :func:`vector_replay`'s.
+    row is either bypassed or enqueued as one single-line packet and
+    drained at once.  Each row's request is built as the row comes, so
+    the run never holds a list of all of them.  Profiler phases match
+    :func:`vector_replay`'s.
     """
     clock = time.perf_counter
     mark = clock()
 
     cache, decoded = _decoded_columns(buffer)
-    cycles_l, _, flags_l = decoded[:3]
-    request_at = _request_builder(decoded)
+    cycles_l, addrs_l, flags_l, sizes_l, requested_l = decoded[:5]
+    from_row = MemoryRequest.from_trace_row
+    span_packet = CoalescedRequest.from_aligned_span
     kernel = BatchedCoalescer(coalescer, replay_cache=cache)
     COUNTERS.engaged += 1
     pipeline = coalescer.pipeline
@@ -357,7 +357,8 @@ def _replay_single_lines(
     can_bypass = coalescer._can_bypass
     complete = kernel.complete_up_to
     kheap = kernel._c_heap
-    push_line = kernel.push_line
+    enqueue = kernel.enqueue
+    drain = kernel.drain
 
     if profiler is not None:
         now = clock()
@@ -381,13 +382,16 @@ def _replay_single_lines(
             kernel.drain(c)
             continue
         llc_count += 1
-        request = request_at(i)
+        addr = addrs_l[i]
+        rtype = _STORE if f & 0b01 else _LOAD
+        request = from_row(addr, rtype, sizes_l[i], requested_l[i])
         # The bypass needs an empty CRQ; test that first, because the
         # CRQ is rarely empty in the saturated steady state.
         if not crq_slots and can_bypass(c):
             kernel.bypass(request, c)
         else:
-            push_line(request, c)
+            enqueue(span_packet(addr, 1, rtype, [request], c), c)
+            drain(c)
 
     if profiler is not None:
         now = clock()

@@ -123,7 +123,9 @@ class TestTrustedConstructors:
     )
 
     def test_trace_rows_build_like_validated_requests(self):
-        from repro.kernels.replay import _decoded_columns, _request_builder
+        """Decoded trace columns through ``from_trace_row``, as the
+        vector replay's row loops build their requests."""
+        from repro.kernels.replay import _decoded_columns
         from repro.trace import TraceBuffer
 
         buffer = TraceBuffer()
@@ -135,14 +137,19 @@ class TestTrustedConstructors:
             [row[3] for row in self.ROWS],
         )
         _, decoded = _decoded_columns(buffer)
-        request_at = _request_builder(decoded)
+        _, addrs, flags, sizes, requested_col, _ = decoded
         for j, (addr, rtype, size, requested) in enumerate(self.ROWS):
             reset_id_counters()
             want = MemoryRequest(
                 addr=addr, rtype=rtype, size=size, requested_bytes=requested
             )
             reset_id_counters()
-            got = request_at(j)
+            got = MemoryRequest.from_trace_row(
+                addrs[j],
+                RequestType.STORE if flags[j] & 0b01 else RequestType.LOAD,
+                sizes[j],
+                requested_col[j],
+            )
             assert _slots(got) == _slots(want)
 
     @pytest.mark.parametrize("members", (1, 3))
