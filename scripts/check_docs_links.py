@@ -10,28 +10,29 @@ Two independent checks, both cheap enough for every CI push:
    document.  External links (``http(s)://``, ``mailto:``) are not
    fetched.
 
-2. **Perf-kind coverage** — every case ``kind`` recorded in the
-   checked-in ``BENCH_perf.json`` must be mentioned in
-   ``docs/performance.md``.  The perf report is the artifact users
+2. **Perf-kind coverage** — every case kind the perf harness can
+   run (``repro.perf.cases.CASE_KINDS``) must be named, as inline
+   code, in ``docs/performance.md``.  The perf report is the artifact users
    read speedups from; a kind that shows up there but is documented
    nowhere is how stale docs start.
 
-Usage::
+Usage (the package must be importable, e.g. installed or on
+``PYTHONPATH=src``)::
 
     python scripts/check_docs_links.py
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from pathlib import Path
 
+from repro.perf.cases import CASE_KINDS
+
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
 PERF_DOC = DOCS / "performance.md"
-BENCH = REPO / "BENCH_perf.json"
 
 #: Markdown inline links/images: ``[text](target)`` / ``![alt](target)``.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
@@ -89,23 +90,13 @@ def check_links() -> list[str]:
 
 
 def check_perf_kinds() -> list[str]:
-    if not BENCH.exists():
-        # Nothing to cross-check in a fresh clone; the CI perf job
-        # regenerates the report before this script runs.
-        return []
-    report = json.loads(BENCH.read_text())
-    kinds = {
-        entry.get("kind", "sim") for entry in report.get("cases", {}).values()
-    }
     doc = PERF_DOC.read_text()
-    errors = []
-    for kind in sorted(kinds):
-        if f"`{kind}`" not in doc and kind not in doc:
-            errors.append(
-                f"BENCH_perf.json records kind {kind!r} but "
-                f"docs/performance.md never mentions it"
-            )
-    return errors
+    return [
+        f"the perf harness runs kind {kind!r} but "
+        f"docs/performance.md never names it as `{kind}`"
+        for kind in CASE_KINDS
+        if f"`{kind}`" not in doc
+    ]
 
 
 def main() -> int:

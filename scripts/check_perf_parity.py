@@ -32,13 +32,15 @@ plus the flattened metrics registry -- equality means the same
 
 4. **HMC back-end parity.**  The batched HMC timing kernel
    (:mod:`repro.kernels.hmc`) replaces the scalar device walk behind
-   the coalescing kernel.  Each cell runs under ``engine="object"``,
-   under ``engine="vector"`` with the back end pinned off
-   (:func:`repro.kernels.hmc.hmc_backend_disabled`), and under
-   ``engine="vector"`` with it on; all three digests must be
-   identical, and the enabled run must actually have engaged the
-   back end (its ``engaged`` counter grew with zero fallbacks --
-   otherwise the cell silently degenerated to object-vs-object).
+   the coalescing kernel whenever its envelope admits the stack.  Each
+   cell runs under ``engine="object"``, under ``engine="vector"`` on a
+   stack outside the envelope (a trivial ``HMCDevice`` subclass
+   patched in as ``repro.sim.driver.HMCDevice``, so the kernel times
+   packets through the driver's ``service_time`` closure), and under
+   ``engine="vector"`` on the stock stack; all three digests must be
+   identical.  The HMC kernel must have counted the subclass run as
+   ``delegated`` and the stock run as ``engaged``, with zero fallbacks
+   -- otherwise a leg silently measured another route.
 
 5. **Wide-sorter parity.**  The two-phase/wide sorter architectures
    (:mod:`repro.core.sorting`) widen the coalescing window past the
@@ -61,8 +63,10 @@ import sys
 import tempfile
 
 import repro.core.coalescer as coalescer_module
+import repro.sim.driver as driver_module
 from repro.core.mshr import DynamicMSHRFile
 from repro.core.mshr_reference import ReferenceMSHRFile
+from repro.hmc.device import HMCDevice
 from repro.perf.digest import result_digest
 from repro.sim.driver import PlatformConfig, run_benchmark
 from repro.sim.sweep import FIGURE_CONFIGS
@@ -229,9 +233,35 @@ def check_engine_parity(problems: list[str]) -> None:
             print(f"  engine {label}: {obj[:16]}... OK (engaged={engaged})")
 
 
-def check_hmc_parity(problems: list[str]) -> None:
-    from repro.kernels.hmc import hmc_backend_disabled, kernel_counters
+class OutsideEnvelopeDevice(HMCDevice):
+    """A stock device by behaviour, but not the exact type the HMC back
+    end's envelope admits, so the kernel delegates its timing."""
 
+
+def run_vector_digest(benchmark, platform, coalescer, device_cls):
+    """One vector run on ``device_cls``; returns (digest, HMC deltas)."""
+    from repro.kernels.hmc import kernel_counters
+
+    driver_module.HMCDevice = device_cls
+    try:
+        before = kernel_counters()
+        digest = result_digest(
+            run_benchmark(
+                benchmark,
+                platform=platform,
+                coalescer=coalescer,
+                engine="vector",
+            )
+        )
+        after = kernel_counters()
+    finally:
+        driver_module.HMCDevice = HMCDevice
+    return digest, {
+        k: after[k] - before[k] for k in ("engaged", "delegated", "fallbacks")
+    }
+
+
+def check_hmc_parity(problems: list[str]) -> None:
     for benchmark, config_name in HMC_CASES:
         platform = PlatformConfig(accesses=ACCESSES)
         coalescer = FIGURE_CONFIGS[config_name]
@@ -244,36 +274,27 @@ def check_hmc_parity(problems: list[str]) -> None:
                 engine="object",
             )
         )
-        with hmc_backend_disabled():
-            off = result_digest(
-                run_benchmark(
-                    benchmark,
-                    platform=platform,
-                    coalescer=coalescer,
-                    engine="vector",
-                )
-            )
-        before = kernel_counters()
-        on = result_digest(
-            run_benchmark(
-                benchmark,
-                platform=platform,
-                coalescer=coalescer,
-                engine="vector",
-            )
+        closure, closure_counts = run_vector_digest(
+            benchmark, platform, coalescer, OutsideEnvelopeDevice
         )
-        after = kernel_counters()
-        engaged = after["engaged"] - before["engaged"]
-        fallbacks = after["fallbacks"] - before["fallbacks"]
-        if not (obj == off == on):
+        backend, backend_counts = run_vector_digest(
+            benchmark, platform, coalescer, HMCDevice
+        )
+        fallbacks = closure_counts["fallbacks"] + backend_counts["fallbacks"]
+        if not (obj == closure == backend):
             problems.append(
                 f"{label}: hmc digest mismatch: object={obj[:16]} "
-                f"backend-off={off[:16]} backend-on={on[:16]}"
+                f"closure={closure[:16]} backend={backend[:16]}"
             )
-        elif engaged < 1:
+        elif closure_counts["delegated"] < 1:
+            problems.append(
+                f"{label}: the subclassed device did not delegate "
+                "(the closure leg never timed packets through the closure)"
+            )
+        elif backend_counts["engaged"] < 1:
             problems.append(
                 f"{label}: hmc back end never engaged "
-                "(parity was object-vs-object, not object-vs-kernel)"
+                "(parity was object-vs-closure, not object-vs-kernel)"
             )
         elif fallbacks:
             problems.append(
@@ -281,7 +302,11 @@ def check_hmc_parity(problems: list[str]) -> None:
                 "(digests matched only via the object fallback path)"
             )
         else:
-            print(f"  hmc    {label}: {obj[:16]}... OK (engaged={engaged})")
+            print(
+                f"  hmc    {label}: {obj[:16]}... OK "
+                f"(delegated={closure_counts['delegated']}, "
+                f"engaged={backend_counts['engaged']})"
+            )
 
 
 def check_sorter_parity(problems: list[str]) -> None:

@@ -850,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="BENCH_perf.local.json",
         help="report path (default: BENCH_perf.local.json, which git "
-        "ignores; the checked-in BENCH_perf.json is written only when "
-        "named)",
+        "ignores; CI names BENCH_perf.json and uploads it as a build "
+        "artifact)",
     )
     perf.add_argument(
         "--baseline",

@@ -93,10 +93,6 @@ class MSHREntry:
         """First cache-line number covered by this entry."""
         return self.addr // line_size
 
-    def covers_line(self, line: int, line_size: int) -> bool:
-        base = self.addr // line_size
-        return base <= line < base + self.num_lines
-
     def line_id_of(self, line: int, line_size: int) -> int:
         """Line ID (0..3, or 0..7 with future scaling) of an absolute
         line number within this entry."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hmc.link import HMCLink
-from repro.hmc.packet import REQUEST_CONTROL_BYTES, transferred_bytes
+from repro.hmc.packet import REQUEST_CONTROL_BYTES
 from repro.hmc.timing import HMCTimingConfig
 from repro.hmc.vault import Vault
 from repro.obs import NULL_REGISTRY, MetricsRegistry
@@ -403,12 +403,3 @@ class HMCDevice:
         """Control bytes saved relative to a run that would have issued
         ``baseline_requests`` transactions (Figure 11)."""
         return (baseline_requests - self.stats.requests) * REQUEST_CONTROL_BYTES
-
-    def vault_stats(self):
-        """Iterate per-vault statistics."""
-        return [v.stats for v in self.vaults]
-
-    @staticmethod
-    def ideal_transfer(data_bytes: int) -> int:
-        """Bytes one exact-sized transaction would move (Section 2.2.2)."""
-        return transferred_bytes(data_bytes)

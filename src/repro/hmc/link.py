@@ -151,9 +151,3 @@ class HMCLink:
         if elapsed_ns <= 0:
             return 0.0
         return min(1.0, self.stats.busy_ns / elapsed_ns)
-
-    def effective_bandwidth_gbps(self, elapsed_ns: float) -> float:
-        """Payload bytes per nanosecond (= GB/s) over the run."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.stats.payload_bytes / elapsed_ns

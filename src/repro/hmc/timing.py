@@ -79,10 +79,6 @@ class HMCTimingConfig:
         if self.queue_limit <= 0:
             raise ConfigError("queue_limit must be positive")
 
-    @property
-    def bytes_per_vault(self) -> int:
-        return self.capacity_bytes // self.num_vaults
-
     def vault_of(self, addr: int) -> int:
         """Vault servicing ``addr`` under low-interleaved block mapping."""
         return (addr // self.block_bytes) % self.num_vaults

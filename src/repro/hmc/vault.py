@@ -120,7 +120,7 @@ class Vault:
             busy.inc(stats.busy_ns, vault=label)
         if stats.row_misses:
             conflicts.inc(stats.row_misses, vault=label)
-        waits.bind(vault=label).observe_each(self._waits)
+        waits.observe_each(self._waits, vault=label)
 
     def service(
         self, addr: int, data_bytes: int, arrive_ns: float
@@ -171,8 +171,3 @@ class Vault:
         else:
             stats.row_misses += 1
         return complete, hit
-
-    @property
-    def occupancy_ahead_ns(self) -> float:
-        """How far in the future the vault is currently booked."""
-        return self.free_at_ns

@@ -201,9 +201,7 @@ class BatchedCoalescer:
     finishes the HMC back end's accounting.
     """
 
-    def __init__(
-        self, coalescer: MemoryCoalescer, replay_cache: dict | None = None
-    ):
+    def __init__(self, coalescer: MemoryCoalescer):
         config = coalescer.config
         self._coalescer = coalescer
         self._mshrs = coalescer.mshrs
@@ -299,11 +297,12 @@ class BatchedCoalescer:
         # advertises a pristine stock device stack, allocations take
         # the flat-frame timing path with batched accounting instead of
         # walking the scalar device call tree (see
-        # ``repro.kernels.hmc``).  Imported lazily to break the
-        # module cycle (hmc.py subclasses CoalesceKernelError).
+        # ``repro.kernels.hmc``); any other stack is timed through the
+        # closure.  Imported lazily to break the module cycle (hmc.py
+        # subclasses CoalesceKernelError).
         from repro.kernels.hmc import attach_backend
 
-        self._hmc = attach_backend(coalescer, replay_cache)
+        self._hmc = attach_backend(coalescer)
 
     # -- completion ---------------------------------------------------------
 

@@ -31,12 +31,7 @@ allocation -- measured batch width is ~1.  The per-packet work is
 therefore only the irreducible timing recurrence (link serialization,
 per-vault FIFO, open-row check), kept in exact object-engine float
 order so digests stay byte-identical; the batching lives in the
-accounting, which has no feedback.  The whole-batch NumPy pass
-survives where there is no feedback at all --
-:meth:`BatchedHMCBackend.replay_batch` re-times an entire serviced
-column set at once (vault/row decomposition by column, open-row
-outcomes by grouped segmented scan) for verification sweeps and
-differential tests.
+accounting, which has no feedback.
 
 Contract (same as PR 6's batched coalescing kernel):
 
@@ -48,9 +43,13 @@ Contract (same as PR 6's batched coalescing kernel):
   a coalescing-kernel miss: whole-run object-engine fallback, counted
   once, in this module's :func:`kernel_counters`.
 * **Engine choice is not configuration.**  Nothing here enters
-  ``PlatformConfig``, config digests, or trace keys; the back end
-  advertises itself only through execution-side closure attributes
-  (``service_time.hmc_device``) set by the replay driver.
+  ``PlatformConfig``, config digests, or trace keys, and nothing
+  switches the back end on or off: it engages whenever
+  :func:`attach_backend`'s envelope admits the stack -- the driver's
+  ``service_time`` closure (which advertises its device through the
+  execution-side attributes ``hmc_device`` / ``cycle_ns``) over a
+  pristine stock device.  Any other stack delegates, and the packets
+  are timed through the closure itself.
 * **Statistics are the object engine's.**  The backend requires a
   pristine device stack (zero traffic, zero timing state -- the replay
   driver always builds a fresh stack), so every statistic fold it
@@ -58,14 +57,13 @@ Contract (same as PR 6's batched coalescing kernel):
   fields the object engine would have built up, and the registry
   series published from them match too.
 
-Per-config constant tables are cached via :func:`hmc_constant_tables`
-and stashed in the per-process replay cache so grouped sweep cells
-build them once.
+Per-config constant tables are cached process-wide by
+:func:`hmc_constant_tables`, keyed by ``(config, cycle_ns)``, so the
+cells of a sweep build each timing cell's tables once.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -106,31 +104,6 @@ class HMCKernelError(CoalesceKernelError):
     counters = COUNTERS
 
 
-_ENABLED = True
-
-
-def set_hmc_backend(enabled: bool) -> None:
-    """Globally enable/disable the batched HMC back end.
-
-    Execution-side only (never configuration): the perf harness pins
-    the back end off to measure the PR 8 baseline engine unchanged.
-    """
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def hmc_backend_disabled():
-    """Scoped :func:`set_hmc_backend` toggle (restores the prior state)."""
-    global _ENABLED
-    prior = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = prior
-
-
 # -- per-config constant tables ----------------------------------------------
 
 
@@ -144,7 +117,7 @@ class HMCTables:
     hot path replaces dict lookups and attribute chasing with list
     indexing.  ``link`` packs ``(total_time, req_time)`` per index;
     the ``np_*`` mirrors feed the finalize-time accounting
-    reconstruction and :meth:`BatchedHMCBackend.replay_batch`.
+    reconstruction.
     """
 
     __slots__ = (
@@ -165,7 +138,6 @@ class HMCTables:
         "link",
         "xfer",
         "np_flits",
-        "np_req",
         "np_total",
         "np_xfer",
     )
@@ -204,7 +176,6 @@ class HMCTables:
         self.link = link
         self.xfer = xfer
         self.np_flits = np.array(flits, dtype=np.int64)
-        self.np_req = np.array([r for _, r in link], dtype=np.float64)
         self.np_total = np.array([t for t, _ in link], dtype=np.float64)
         self.np_xfer = np.array(xfer, dtype=np.float64)
 
@@ -252,19 +223,15 @@ def _is_pristine(device: HMCDevice) -> bool:
     return True
 
 
-def attach_backend(coalescer, replay_cache: dict | None = None):
+def attach_backend(coalescer):
     """Attach a :class:`BatchedHMCBackend` to an engaged batched run.
 
     ``coalescer`` is the core ``MemoryCoalescer``; its bound
     ``_service_time`` closure advertises the device it wraps (see
     ``repro.sim.driver._make_service_time``).  Returns ``None`` --
     counting a delegation -- when the stack is not the stock shape the
-    kernel models, the device is not pristine, or the back end is
-    pinned off.
+    kernel models or the device is not pristine.
     """
-    if not _ENABLED:
-        COUNTERS.delegated += 1
-        return None
     fn = getattr(coalescer, "_service_time", None)
     device = getattr(fn, "hmc_device", None)
     cycle_ns = getattr(fn, "cycle_ns", None)
@@ -282,16 +249,10 @@ def attach_backend(coalescer, replay_cache: dict | None = None):
     ):
         COUNTERS.delegated += 1
         return None
-    key = ("hmc_tables", device.config, cycle_ns)
-    tables = None
-    if replay_cache is not None:
-        tables = replay_cache.get(key)
-    if tables is None:
-        tables = hmc_constant_tables(device.config, cycle_ns)
-        if replay_cache is not None:
-            replay_cache[key] = tables
     COUNTERS.engaged += 1
-    return BatchedHMCBackend(device, cycle_ns, tables)
+    return BatchedHMCBackend(
+        device, cycle_ns, hmc_constant_tables(device.config, cycle_ns)
+    )
 
 
 # -- the compiled hot path ---------------------------------------------------
@@ -300,7 +261,6 @@ def attach_backend(coalescer, replay_cache: dict | None = None):
 def _compile_service(
     t: HMCTables,
     cycle_ns: float,
-    lf: list,
     vault_free: list,
     bank_rows: list,
     acts: dict,
@@ -314,9 +274,7 @@ def _compile_service(
     single-float state live in cell variables (cheap ``LOAD_DEREF``
     instead of attribute chases); multi-element state (vault free
     times, bank rows, the accounting columns) is shared by reference
-    with the owning :class:`BatchedHMCBackend`.  ``lf`` is a
-    one-element list so :meth:`~BatchedHMCBackend.replay_batch` shares
-    the link clock too.
+    with the owning :class:`BatchedHMCBackend`.
 
     The float chain is the exact operation order of the object
     engine's ``_service_core`` + ``Vault.service``; the only per-packet
@@ -447,13 +405,6 @@ def _compile_service(
     def snapshot() -> tuple[float, float, int, float]:
         return link_free, last_complete, requested_sum, latency_sum
 
-    # replay_batch shares the link clock through the lf cell.
-    def sync_link(value: float) -> None:
-        nonlocal link_free
-        link_free = value
-
-    lf.append(snapshot)
-    lf.append(sync_link)
     return service, fence, snapshot
 
 
@@ -474,7 +425,6 @@ class BatchedHMCBackend:
         "_device",
         "_cycle_ns",
         "_t",
-        "_lf",
         "_vault_free",
         "_bank_rows",
         "_acts",
@@ -500,11 +450,9 @@ class BatchedHMCBackend:
         self._waits: list[float] = []
         self._shadow: HMCDevice | None = None
         self._finalized = False
-        self._lf: list = []
         self.service, self.mark_fence, self._snapshot = _compile_service(
             tables,
             cycle_ns,
-            self._lf,
             self._vault_free,
             self._bank_rows,
             self._acts,
@@ -547,116 +495,6 @@ class BatchedHMCBackend:
         return shadow._service_core(
             addr, payload, bool(is_write), arrive_ns, requested
         )
-
-    # -- whole-batch replay (no-feedback path) -------------------------------
-
-    def replay_batch(
-        self,
-        addrs: list[int],
-        payloads: list[int],
-        writes: list[int],
-        ats: list[int],
-    ) -> list[int]:
-        """Re-time a whole serviced column set in one NumPy pass.
-
-        The feedback-free twin of :attr:`service` for verification
-        sweeps and differential tests: vault/bank/row decomposition,
-        FLIT schedules and transfer times resolve as columns
-        (``np.take``), the open-row outcome via a grouped segmented
-        scan over the stable per-bank subsequences, and only the
-        irreducible link/vault recurrence runs per element -- in the
-        exact object-engine float order, continuing the live timing
-        state.  Does **not** record accounting (bank activation counts
-        ride along with the row-state evolution); completion cycles
-        are returned, and the timing state advances exactly as
-        repeated :attr:`service` calls would advance it.
-        """
-        k = len(addrs)
-        if not k:
-            return []
-        t = self._t
-        cycle_ns = self._cycle_ns
-        addr = np.array(addrs, dtype=np.int64)
-        payload = np.array(payloads, dtype=np.int64)
-        iw = np.array(writes, dtype=np.int64)
-        at = np.array(ats, dtype=np.int64)
-        arrive_l = (at.astype(np.float64) * cycle_ns).tolist()
-        block = addr // t.block_bytes
-        vault = block % t.num_vaults
-        gbank = (addr // t.bank_stride) % t.banks_per_vault + vault * (
-            t.banks_per_vault
-        )
-        row = addr // t.row_stride
-        pidx = (payload >> 4) - 1
-        li = pidx + t.n_payloads * iw
-        tt_l = np.take(t.np_total, li).tolist()
-        rt_l = np.take(t.np_req, li).tolist()
-        xf_l = np.take(t.np_xfer, pidx).tolist()
-        bank_rows = self._bank_rows
-        acts = self._acts
-        if t.closed_page:
-            dram_l = [t.closed_ns] * k
-            groups, counts = np.unique(gbank, return_counts=True)
-            for g, c in zip(groups.tolist(), counts.tolist()):
-                acts[g] = acts.get(g, 0) + c
-        else:
-            # Grouped segmented scan: within each bank's stable
-            # subsequence the previously open row is the prior
-            # element's row, except at segment heads where it is the
-            # carried-in bank state.
-            order = np.argsort(gbank, kind="stable")
-            gs = gbank[order]
-            rs = row[order]
-            firsts = np.empty(k, dtype=bool)
-            firsts[0] = True
-            np.not_equal(gs[1:], gs[:-1], out=firsts[1:])
-            prev_sorted = np.empty(k, dtype=np.int64)
-            prev_sorted[1:] = rs[:-1]
-            fidx = np.nonzero(firsts)[0]
-            prev_sorted[fidx] = [bank_rows[g] for g in gs[fidx].tolist()]
-            hit_sorted = prev_sorted == rs
-            hits = np.empty(k, dtype=bool)
-            hits[order] = hit_sorted
-            dram_l = np.where(hits, t.hit_ns, t.miss_ns).tolist()
-            # Final open row per touched bank = the row of its last
-            # access (the lasts mask avoids unspecified duplicate-index
-            # fancy assignment); activations count the misses per bank.
-            lasts = np.empty(k, dtype=bool)
-            lasts[:-1] = firsts[1:]
-            lasts[-1] = True
-            lidx = np.nonzero(lasts)[0]
-            for g, r in zip(gs[lidx].tolist(), rs[lidx].tolist()):
-                bank_rows[g] = r
-            miss_sorted = ~hit_sorted
-            if miss_sorted.any():
-                seg = np.cumsum(firsts) - 1
-                miss_counts = np.bincount(seg[miss_sorted], minlength=len(fidx))
-                for g, c in zip(gs[fidx].tolist(), miss_counts.tolist()):
-                    if c:
-                        acts[g] = acts.get(g, 0) + c
-        vault_l = vault.tolist()
-
-        half = t.half_serdes
-        snapshot, sync_link = self._lf
-        link_free = snapshot()[0]
-        vault_free = self._vault_free
-        out: list[int] = [0] * k
-        for j in range(k):
-            a = arrive_l[j]
-            v = vault_l[j]
-            tt = tt_l[j]
-            start = a if a > link_free else link_free
-            link_free = start + tt
-            av = (start + rt_l[j]) + half
-            vf = vault_free[v]
-            sv = av if av > vf else vf
-            done = (sv + dram_l[j]) + xf_l[j]
-            vault_free[v] = done
-            complete = done + half
-            cycles = int((complete - a) / cycle_ns)
-            out[j] = ats[j] + (cycles if cycles > 1 else 1)
-        sync_link(link_free)
-        return out
 
     # -- finalization --------------------------------------------------------
 

@@ -89,7 +89,7 @@ def vector_replay(
     clock = time.perf_counter
     mark = clock()
 
-    cache, decoded = _decoded_columns(buffer)
+    decoded = _decoded_columns(buffer)
     cycles_l, addrs_l, flags_l, sizes_l, requested_l, keys_l = decoded
     # Requests are built unchecked (the decode validated the rows) and
     # fresh for every push: the coalescer keeps pushed requests in
@@ -105,7 +105,7 @@ def vector_replay(
     crq_slots = crq._slots  # the deque mutates in place, never rebinds
     emit_sorted = pipeline.emit_sorted
 
-    kernel = BatchedCoalescer(coalescer, replay_cache=cache)
+    kernel = BatchedCoalescer(coalescer)
     COUNTERS.engaged += 1
     complete = kernel.complete_up_to
     drain_bulk = kernel.drain_hits_bulk
@@ -263,8 +263,8 @@ def vector_replay(
     return last_cycle
 
 
-def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
-    """The buffer's replay cache and its decoded row columns.
+def _decoded_columns(buffer: TraceBuffer) -> tuple:
+    """The buffer's decoded row columns.
 
     Decodes once per buffer: Python-int lists of the five trace columns
     plus the extended sort keys, kept in
@@ -284,7 +284,7 @@ def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
         cache = buffer.replay_cache = {}
     decoded = cache.get("columns")
     if decoded is not None:
-        return cache, decoded
+        return decoded
     if len(cycles_a):
         addr_u = _np_column(addrs_a, np.uint64)
         flag_np = _np_column(flags_a, np.uint8)
@@ -318,7 +318,7 @@ def _decoded_columns(buffer: TraceBuffer) -> tuple[dict, tuple]:
         keys_l,
     )
     cache["columns"] = decoded
-    return cache, decoded
+    return decoded
 
 
 def _np_column(column, dtype) -> np.ndarray:
@@ -345,11 +345,11 @@ def _replay_single_lines(
     clock = time.perf_counter
     mark = clock()
 
-    cache, decoded = _decoded_columns(buffer)
+    decoded = _decoded_columns(buffer)
     cycles_l, addrs_l, flags_l, sizes_l, requested_l = decoded[:5]
     from_row = MemoryRequest.from_trace_row
     span_packet = CoalescedRequest.from_aligned_span
-    kernel = BatchedCoalescer(coalescer, replay_cache=cache)
+    kernel = BatchedCoalescer(coalescer)
     COUNTERS.engaged += 1
     pipeline = coalescer.pipeline
     crq = coalescer.crq

@@ -63,30 +63,6 @@ class Metric:
         return f"<{type(self).__name__} {self.name}>"
 
 
-class _BoundCounter:
-    """One label set of a :class:`Counter`, with its key pre-resolved.
-
-    Hot loops that increment the same label set millions of times pay
-    ``label_key`` (kwargs dict + sort + str coercion) on every call;
-    a handle from :meth:`Counter.bind` reduces that to one dict update.
-    The underlying key is only materialized in the counter's value map
-    on the first :meth:`inc`, so binding alone never creates a sample.
-    """
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, values: dict, key: LabelKey):
-        self._values = values
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        values = self._values
-        key = self._key
-        values[key] = values.get(key, 0.0) + amount
-
-
 class Counter(Metric):
     """A monotonically increasing total, split by label sets."""
 
@@ -101,12 +77,6 @@ class Counter(Metric):
             raise ValueError("counters only go up")
         key = label_key(labels) if labels else _EMPTY_KEY
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def bind(self, **labels: str) -> _BoundCounter:
-        """A pre-resolved handle for one label set (see hot loops)."""
-        return _BoundCounter(
-            self._values, label_key(labels) if labels else _EMPTY_KEY
-        )
 
     def value(self, **labels: str) -> float:
         """Value of one label set (0 if never incremented)."""
@@ -144,12 +114,6 @@ class Gauge(Metric):
         if key not in self._values or value > self._values[key]:
             self._values[key] = float(value)
 
-    def bind(self, **labels: str) -> "_BoundGauge":
-        """A pre-resolved handle for one label set (see hot loops)."""
-        return _BoundGauge(
-            self._values, label_key(labels) if labels else _EMPTY_KEY
-        )
-
     def value(self, **labels: str) -> float:
         return self._values.get(label_key(labels), 0.0)
 
@@ -160,25 +124,6 @@ class Gauge(Metric):
     def _merge(self, other: "Gauge") -> None:
         # Last writer wins: the incoming registry is the newer run.
         self._values.update(other._values)
-
-
-class _BoundGauge:
-    """One label set of a :class:`Gauge`, with its key pre-resolved."""
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, values: dict, key: LabelKey):
-        self._values = values
-        self._key = key
-
-    def set(self, value: float) -> None:
-        self._values[self._key] = float(value)
-
-    def set_max(self, value: float) -> None:
-        values = self._values
-        key = self._key
-        if key not in values or value > values[key]:
-            values[key] = float(value)
 
 
 class _HistogramSeries:
@@ -266,11 +211,30 @@ class Histogram(Metric):
         for value in sorted(counts):
             self.observe_bulk(value, counts[value], **labels)
 
-    def bind(self, **labels: str) -> "_BoundHistogram":
-        """A pre-resolved handle for one label set (see hot loops)."""
-        return _BoundHistogram(
-            self, label_key(labels) if labels else _EMPTY_KEY
-        )
+    def observe_each(self, values: Sequence[float], **labels: str) -> None:
+        """Observe every value of ``values``, in order, in one call.
+
+        Equal to one :meth:`observe` per value: the same buckets, the
+        same left-fold sum, and min/max taken over the sequence.  An
+        empty sequence records nothing and materializes no series.
+        """
+        if not values:
+            return
+        series = self._get(labels)
+        counts = series.counts
+        buckets = self.buckets
+        total = series.sum
+        for value in values:
+            counts[bisect_left(buckets, value)] += 1
+            total += value
+        series.sum = total
+        series.count += len(values)
+        lo = min(values)
+        hi = max(values)
+        if series.min is None or lo < series.min:
+            series.min = lo
+        if series.max is None or hi > series.max:
+            series.max = hi
 
     # -- per-label-set reads ------------------------------------------------
 
@@ -319,87 +283,6 @@ class Histogram(Metric):
                     setattr(mine, "min", min(cur, val))
                 else:
                     setattr(mine, "max", max(cur, val))
-
-
-class _BoundHistogram:
-    """One label set of a :class:`Histogram`, with its key pre-resolved.
-
-    The series is created lazily on the first :meth:`observe`, so a
-    bound-but-unused handle leaves the histogram's sample set (and any
-    digest over it) unchanged.
-    """
-
-    __slots__ = ("_hist", "_key", "_series")
-
-    def __init__(self, hist: Histogram, key: LabelKey):
-        self._hist = hist
-        self._key = key
-        self._series = hist._series.get(key)
-
-    def _materialize(self) -> _HistogramSeries:
-        hist = self._hist
-        series = hist._series.get(self._key)
-        if series is None:
-            series = hist._series[self._key] = _HistogramSeries(
-                len(hist.buckets)
-            )
-        self._series = series
-        return series
-
-    def observe(self, value: float) -> None:
-        series = self._series
-        if series is None:
-            series = self._materialize()
-        series.counts[bisect_left(self._hist.buckets, value)] += 1
-        series.sum += value
-        series.count += 1
-        if series.min is None or value < series.min:
-            series.min = value
-        if series.max is None or value > series.max:
-            series.max = value
-
-    def observe_bulk(self, value: float, count: int) -> None:
-        """Record ``count`` identical observations (see
-        :meth:`Histogram.observe_bulk`); no-op for ``count <= 0``."""
-        if count <= 0:
-            return
-        series = self._series
-        if series is None:
-            series = self._materialize()
-        series.counts[bisect_left(self._hist.buckets, value)] += count
-        series.sum += value * count
-        series.count += count
-        if series.min is None or value < series.min:
-            series.min = value
-        if series.max is None or value > series.max:
-            series.max = value
-
-    def observe_each(self, values: Sequence[float]) -> None:
-        """Observe every value of ``values``, in order, in one call.
-
-        Equal to one :meth:`observe` per value: the same buckets, the
-        same left-fold sum, and min/max taken over the sequence.  An
-        empty sequence records nothing and materializes no series.
-        """
-        if not values:
-            return
-        series = self._series
-        if series is None:
-            series = self._materialize()
-        counts = series.counts
-        buckets = self._hist.buckets
-        total = series.sum
-        for value in values:
-            counts[bisect_left(buckets, value)] += 1
-            total += value
-        series.sum = total
-        series.count += len(values)
-        lo = min(values)
-        hi = max(values)
-        if series.min is None or lo < series.min:
-            series.min = lo
-        if series.max is None or hi > series.max:
-            series.max = hi
 
 
 class MetricsRegistry:

@@ -7,8 +7,8 @@ before/after evidence and CI can catch throughput regressions.
 
 ``python -m repro perf`` runs a case suite (``repro.perf.cases``),
 writes its report to ``--out`` (default the untracked
-``BENCH_perf.local.json``; the checked-in ``BENCH_perf.json`` changes
-only when named) and compares against the checked-in
+``BENCH_perf.local.json``; CI writes ``BENCH_perf.json`` and uploads
+it as a build artifact) and compares against the checked-in
 ``benchmarks/perf/baseline.json``; every case also carries
 a :func:`repro.perf.digest.result_digest` so a perf run doubles as a
 bit-exactness check.  See ``docs/performance.md``.

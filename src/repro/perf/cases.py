@@ -2,7 +2,7 @@
 
 A :class:`PerfCase` names one measured workload: a (benchmark, figure
 config, trace length) triple plus a *kind* selecting what the harness
-actually times.  Three suites are provided:
+actually times.  Five suites are provided:
 
 ``smoke``
     Three plain simulations plus two warm-trace replays, a few seconds
@@ -10,7 +10,7 @@ actually times.  Three suites are provided:
     is the stress case — the scatter-gather access pattern keeps the
     MSHR file full, which is exactly the regime the indexed offer path
     optimizes.  The plain simulations pin the object engine; the two
-    ``vector_hmc`` replays gate the kernel engine's configs without
+    ``vector_replay`` cases gate the kernel engine's configs without
     the DMC unit (MG/uncoalesced: single-line packets, no merging;
     SG/mshr_only: merge-while-full on single-line packets).
 
@@ -33,11 +33,14 @@ actually times.  Three suites are provided:
     multi-config replay).
 
 ``sorter``
-    The wide-sorter scaling grid: object-vs-vector replay twins at
-    n=32/64 single-phase and n=64/128 two-phase, all on SG/combined
-    (the window-saturating workload).  The derived per-width speedups
-    gate the tentpole acceptance: the vector sort path must beat the
-    object walk >= 3x at n=64.
+    The wide-sorter scaling grid: ``trace_replay`` / ``vector_replay``
+    twins at n=32/64 single-phase and n=64/128 two-phase, all on
+    SG/combined (the window-saturating workload), each case's
+    ``sorter_width`` / ``sorter_arch`` overriding the figure config's
+    sorter.  The derived ``vector_replay_speedup`` and
+    ``vector_replay_coalesce_speedup`` per width show whether the
+    vector sort keeps its lead over the object walk as the window
+    widens.
 
 Case kinds
 ----------
@@ -64,50 +67,19 @@ Case kinds
     (``repro.kernels.capture``).  Compare against ``trace_capture`` on
     the same workload for the capture-side engine speedup.
 ``vector_replay``
-    ``trace_replay`` with the columnar kernel engine: one row loop
-    that sorts each flush sequence as it flushes
-    (``repro.kernels.replay``).  Compare
-    against ``trace_replay`` for the replay-side engine speedup.
-``vector_coalesce``
-    ``trace_replay`` under the kernel engine with the batched
-    second-phase coalescing kernel (``repro.kernels.coalesce``) in
-    focus: the same measurement as ``vector_replay``, plus a
-    kernel-counter snapshot around the measured repeats recording how
-    often the batched DMC/CRQ/MSHR kernel engaged, delegated to the
-    object machinery, or fell back on a verification miss.  The
-    report entry carries the verification-miss ``fallback_rate`` as
-    a first-class number (see ``docs/performance.md``), and the
-    derived ``vector_coalesce_phase_speedup`` isolates the coalesce
-    phase the kernel replaces.
-``vector_hmc``
-    ``vector_coalesce`` with the batched HMC back-end timing kernel
-    (``repro.kernels.hmc``) enabled: the compiled flat-frame service
-    path replaces the scalar device call tree per packet, with the
-    accounting reconstructed in batch at finalize.  The other vector
-    kinds pin the back end *off* so their numbers keep measuring the
-    pre-HMC-kernel engine; compare ``vector_hmc`` against
-    ``vector_coalesce`` for the residual-HMC-portion effect
-    (``vector_hmc_phase_speedup`` isolates the coalesce phase) and
-    against ``trace_replay`` for the full object-vs-vector gap
-    (``vector_hmc_speedup``).  The kernel-counter snapshot covers both
-    the coalescing kernel and the HMC back end, and the report entry
-    carries an ``hmc_portion_speedup`` microbenchmark: the run's
-    packet demographics replayed through the object service chain vs
-    the batched service path, best-of-N, on a fresh device each --
-    the direct measure of the scalar phase this kernel replaces.
-``sorter_scale`` / ``sorter_scale_object``
-    Replay from a warm trace store with the case's ``sorter_width`` /
-    ``sorter_arch`` overriding the figure config -- the wide-sorter
-    design-space axis.  ``sorter_scale`` runs the vector engine
-    (one ``sequence_permutation`` per flush: a C ``sorted`` call on
-    distinct keys, the comparator walk on repeated ones),
-    ``sorter_scale_object`` the object comparator walk whose per-flush
-    cost grows as O(n log^2 n).  Both
-    pin the batched HMC back end off so the pair isolates the sort
-    machinery; the derived ``sorter_scale_speedup`` (wall) and
-    ``sorter_scale_phase_speedup`` (coalesce phase) per width are the
-    scaling-acceptance numbers -- the vector engine must keep the wide
-    window from becoming the replay Amdahl ceiling.
+    ``trace_replay`` with the columnar kernel engine, as every user
+    run gets it: one row loop that sorts each flush sequence as it
+    flushes (``repro.kernels.replay``), the batched DMC/CRQ/MSHR
+    kernel (``repro.kernels.coalesce``) and, behind it, the batched
+    HMC back end (``repro.kernels.hmc``).  Compare against
+    ``trace_replay`` for the replay-side engine speedup
+    (``vector_replay_speedup``, wall) and the coalesce phase the
+    kernels replace (``vector_replay_coalesce_speedup``).  The report
+    entry carries a ``kernel`` block: the coalescing kernel's
+    engaged / delegated / fallback deltas over the measured repeats,
+    with the verification-miss ``fallback_rate`` as a first-class
+    number (see ``docs/performance.md``), and the same for the HMC
+    back end under ``kernel["hmc"]``.
 ``sweep_throughput``
     A full 24-cell mini-sweep through :func:`repro.sim.sweep.run_sweep`
     with the persistent worker pool, at the case's ``jobs`` count,
@@ -115,6 +87,11 @@ Case kinds
     The report entry carries ``cells`` and ``cells_per_second``.  The
     composite digest chains every cell's result digest, so the gate
     also pins the pool's bit-exactness at each worker count.
+
+``trace_replay`` and ``vector_replay`` cases may carry a
+``sorter_width`` (and a ``sorter_arch``) overriding the figure
+config's sorter -- the wide-sorter design-space axis of the
+``sorter`` suite.
 
 All vector kinds pin their object twins to ``engine="object"`` so the
 pair always measures object-vs-vector regardless of the session default,
@@ -141,24 +118,15 @@ SWEEP_KINDS = ("sweep_throughput",)
 
 #: Kinds measured under the vector kernel engine; each has an
 #: object-engine twin kind it derives a speedup against.
-VECTOR_KINDS = (
-    "vector_capture",
-    "vector_replay",
-    "vector_coalesce",
-    "vector_hmc",
-)
+VECTOR_KINDS = ("vector_capture", "vector_replay")
 
-#: The wide-sorter design-space kinds; their cases carry a
-#: ``sorter_width`` (and usually a ``sorter_arch``) overriding the
-#: figure config's sorter.
-SORTER_KINDS = ("sorter_scale", "sorter_scale_object")
+#: Kinds that replay a warm trace store; only their cases may override
+#: the figure config's sorter.
+REPLAY_KINDS = ("trace_replay", "vector_replay")
 
 #: Every kind :func:`repro.perf.harness.run_case` can measure.
 CASE_KINDS = (
-    ("sim", "trace_capture", "trace_replay")
-    + VECTOR_KINDS
-    + SORTER_KINDS
-    + COMPOSITE_KINDS
+    ("sim", "trace_capture", "trace_replay") + VECTOR_KINDS + COMPOSITE_KINDS
 )
 
 
@@ -175,9 +143,9 @@ class PerfCase:
     #: field then never appears in reports, keeping old baselines
     #: comparable).
     jobs: int = 0
-    #: Sorter override for the ``sorter_scale`` kinds; 0 / "" on every
-    #: other kind (then never serialized, keeping old baselines
-    #: comparable).
+    #: Sorter override for the replay kinds; 0 / "" when the figure
+    #: config's sorter runs (then never serialized, keeping old
+    #: baselines comparable).
     sorter_width: int = 0
     sorter_arch: str = ""
 
@@ -192,16 +160,16 @@ class PerfCase:
                 f"jobs= only applies to sweep kinds {SWEEP_KINDS}, "
                 f"not {self.kind!r}"
             )
-        if self.kind in SORTER_KINDS:
+        if self.sorter_width or self.sorter_arch:
+            if self.kind not in REPLAY_KINDS:
+                raise ValueError(
+                    f"sorter_width/sorter_arch only apply to {REPLAY_KINDS}, "
+                    f"not {self.kind!r}"
+                )
             if not self.sorter_width:
                 raise ValueError(
-                    f"{self.kind} cases need an explicit sorter_width"
+                    "a sorter_arch needs an explicit sorter_width"
                 )
-        elif self.sorter_width or self.sorter_arch:
-            raise ValueError(
-                f"sorter_width/sorter_arch only apply to {SORTER_KINDS}, "
-                f"not {self.kind!r}"
-            )
 
     @property
     def name(self) -> str:
@@ -219,8 +187,8 @@ SMOKE_SUITE: tuple[PerfCase, ...] = (
     PerfCase("SG", "combined", 6_000),
     PerfCase("FT", "combined", 6_000),
     PerfCase("MG", "uncoalesced", 6_000),
-    PerfCase("MG", "uncoalesced", 6_000, kind="vector_hmc"),
-    PerfCase("SG", "mshr_only", 6_000, kind="vector_hmc"),
+    PerfCase("MG", "uncoalesced", 6_000, kind="vector_replay"),
+    PerfCase("SG", "mshr_only", 6_000, kind="vector_replay"),
 )
 
 TRACE_SUITE: tuple[PerfCase, ...] = (
@@ -242,10 +210,6 @@ TRACE_SUITE: tuple[PerfCase, ...] = (
     PerfCase("SG", "combined", 6_000, kind="vector_capture"),
     PerfCase("SG", "combined", 6_000, kind="vector_replay"),
     PerfCase("SparseLU", "combined", 6_000, kind="vector_replay"),
-    PerfCase("SG", "combined", 6_000, kind="vector_coalesce"),
-    PerfCase("SparseLU", "combined", 6_000, kind="vector_coalesce"),
-    PerfCase("SG", "combined", 6_000, kind="vector_hmc"),
-    PerfCase("SparseLU", "combined", 6_000, kind="vector_hmc"),
     PerfCase("SparseLU", "combined", 6_000, kind="pair_live"),
     PerfCase("SparseLU", "combined", 6_000, kind="pair_shared_trace"),
     PerfCase("STREAM", "combined", 6_000, kind="sweep_live"),
@@ -270,11 +234,10 @@ SWEEP_SUITE: tuple[PerfCase, ...] = (
     PerfCase("GRID24", "combined", 600, kind="sweep_throughput", jobs=4),
 )
 
-#: The wide-sorter scaling grid: object/vector twins at each design
-#: point.  SG/combined keeps every width's window full (scatter-gather
-#: floods the front buffer), so the pair measures the sort machinery
-#: at its occupancy ceiling; n=64 single-phase is the ROADMAP
-#: acceptance point (vector-over-object >= 3x), n=128 two-phase the
+#: The wide-sorter scaling grid: object/vector replay twins at each
+#: design point.  SG/combined keeps every width's window full
+#: (scatter-gather floods the front buffer), so the pair measures the
+#: sort machinery at its occupancy ceiling; n=128 two-phase is the
 #: scaling extreme.
 SORTER_SUITE: tuple[PerfCase, ...] = tuple(
     PerfCase(
@@ -291,7 +254,7 @@ SORTER_SUITE: tuple[PerfCase, ...] = tuple(
         (64, "two_phase"),
         (128, "two_phase"),
     )
-    for kind in ("sorter_scale_object", "sorter_scale")
+    for kind in REPLAY_KINDS
 )
 
 SUITES: dict[str, tuple[PerfCase, ...]] = {

@@ -5,7 +5,10 @@ under a fresh :class:`~repro.obs.PhaseProfiler`; the *best* wall time
 is reported (interference only ever slows a run down, so min is the
 most stable estimator).  Every case also records the run's
 :func:`~repro.perf.digest.result_digest`, making a perf report a
-bit-exactness witness at the same time.
+bit-exactness witness at the same time.  The harness switches no
+engine part on or off: a ``vector_replay`` case runs what a user run
+gets, the batched coalescing kernel with the batched HMC back end
+behind it wherever the back end's envelope admits the stack.
 
 Cross-machine comparisons divide out host speed with a calibration
 loop (:func:`calibration_seconds`): ``normalized_throughput`` is
@@ -28,7 +31,7 @@ from typing import Callable, Iterable
 
 from repro.errors import SchemaError
 from repro.obs import PhaseProfiler
-from repro.perf.cases import SORTER_KINDS, SWEEP_KINDS, VECTOR_KINDS, PerfCase
+from repro.perf.cases import REPLAY_KINDS, SWEEP_KINDS, VECTOR_KINDS, PerfCase
 from repro.perf.digest import result_digest
 
 #: Benchmarks of the sweep-throughput mini-sweep; x the 4 figure
@@ -80,9 +83,10 @@ class CaseResult:
     cpu_accesses: int
     digest: str
     phases: dict[str, float]
-    #: Batched-coalescing kernel engagement over the measured repeats
-    #: (``vector_coalesce`` only): engaged / delegated / fallback
-    #: deltas plus the derived fallback rate.  ``None`` elsewhere.
+    #: Kernel engagement over the measured repeats (``vector_replay``
+    #: only): the coalescing kernel's engaged / delegated / fallback
+    #: deltas and rates, with the HMC back end's under ``"hmc"``.
+    #: ``None`` elsewhere.
     kernel: dict | None = None
     #: Sweep cells executed per attempt (sweep kinds only; 0 elsewhere,
     #: in which case neither ``cells`` nor ``cells_per_second`` appears
@@ -144,84 +148,26 @@ class CaseResult:
         }
 
 
-def _hmc_portion_speedup(
-    benchmark: str, platform, coalescer, warm_store, repeats: int = 3
-) -> float | None:
-    """Microbenchmark the scalar HMC phase the batched back end replaces.
+def _engagement(before: dict, after: dict) -> dict:
+    """One kernel's engaged / delegated / fallback deltas and rates.
 
-    One untimed replay records the exact ``(request, issue_cycle)``
-    stream the engaged back end services; the stream then re-times
-    best-of-``repeats`` through (a) the object engine's
-    ``service_time`` closure and (b) a fresh
-    :class:`~repro.kernels.hmc.BatchedHMCBackend`, each on a fresh
-    device.  The ratio is the residual-HMC-portion speedup --
-    the direct measure of the call tree the kernel replaces, free of
-    the engine-invariant replay machinery that dilutes wall ratios.
-    Returns ``None`` when the back end never engaged (nothing to
-    compare).
+    ``before`` and ``after`` are its ``kernel_counters()`` snapshots
+    around the measured repeats.  The fallback rate is the share of
+    engaged replays that hit a verification miss and re-ran under the
+    object engine: digest parity holds either way, so a rising rate is
+    a perf smell, not a correctness one.
     """
-    from repro.hmc.device import HMCDevice
-    from repro.kernels import hmc as hk
-    from repro.sim.driver import _make_service_time, run_benchmark
-
-    stream: list = []
-    captured: list = []
-    real_attach = hk.attach_backend
-
-    def recording_attach(coalescer_obj, replay_cache=None):
-        backend = real_attach(coalescer_obj, replay_cache)
-        if backend is not None:
-            captured.append((backend._device.config, backend._cycle_ns))
-            inner = backend.service
-
-            def service(request, at):
-                stream.append((request, at))
-                return inner(request, at)
-
-            backend.service = service
-        return backend
-
-    hk.attach_backend = recording_attach
-    try:
-        run_benchmark(
-            benchmark,
-            platform=platform,
-            coalescer=coalescer,
-            trace_store=warm_store,
-            engine="vector",
-        )
-    finally:
-        hk.attach_backend = real_attach
-    if not stream or not captured:
-        return None
-    config, cycle_ns = captured[0]
-
-    def object_pass() -> float:
-        device = HMCDevice(config)
-        service_time = _make_service_time(device, cycle_ns)
-        start = time.perf_counter()
-        for request, at in stream:
-            at + service_time(request, at)
-        return time.perf_counter() - start
-
-    def backend_pass() -> float:
-        device = HMCDevice(config)
-        backend = hk.BatchedHMCBackend(
-            device, cycle_ns, hk.hmc_constant_tables(config, cycle_ns)
-        )
-        service = backend.service
-        start = time.perf_counter()
-        for request, at in stream:
-            service(request, at)
-        elapsed = time.perf_counter() - start
-        backend.finalize()
-        return elapsed
-
-    best_object = min(object_pass() for _ in range(max(1, repeats)))
-    best_backend = min(backend_pass() for _ in range(max(1, repeats)))
-    if best_backend <= 0:
-        return None
-    return best_object / best_backend
+    engaged = after["engaged"] - before["engaged"]
+    delegated = after["delegated"] - before["delegated"]
+    fallbacks = after["fallbacks"] - before["fallbacks"]
+    attempts = engaged + delegated
+    return {
+        "engaged": engaged,
+        "delegated": delegated,
+        "fallbacks": fallbacks,
+        "fallback_rate": (fallbacks / engaged) if engaged else 0.0,
+        "engagement_rate": (engaged / attempts) if attempts else 0.0,
+    }
 
 
 def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
@@ -230,7 +176,9 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
     The case's ``kind`` selects the measured workload (see
     :mod:`repro.perf.cases`): a plain simulation, a capture or replay
     through the trace store, or a composite (pair / 4-config sweep)
-    with or without a shared trace.  Composite kinds digest the
+    with or without a shared trace.  A ``vector_replay`` case also
+    records both kernels' engagement over its repeats (see
+    :attr:`CaseResult.kernel`).  Composite kinds digest the
     concatenated per-run digests, so live and shared-trace variants of
     the same workload must report identical digests -- the perf report
     doubles as a bit-exactness witness for the trace layer.
@@ -244,7 +192,7 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
     from repro.trace import TraceStore
 
     coalescer = FIGURE_CONFIGS[case.config]
-    if kind_sorter := case.kind in SORTER_KINDS:
+    if case.sorter_width:
         # The wide-sorter axis: the case's width/architecture override
         # the figure config's sorter (digest-visible, so each design
         # point replays and digests independently).
@@ -264,19 +212,10 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
     # and their baselines predate the kernel engine.  Composite kinds
     # run whatever the session default resolves to -- they measure
     # what users of the trace layer actually get.
-    engine = (
-        "vector"
-        if kind in VECTOR_KINDS or kind == "sorter_scale"
-        else "object"
-    )
+    engine = "vector" if kind in VECTOR_KINDS else "object"
 
     warm_store: TraceStore | None = None
-    if kind_sorter or kind in (
-        "trace_replay",
-        "vector_replay",
-        "vector_coalesce",
-        "vector_hmc",
-    ):
+    if kind in REPLAY_KINDS:
         # One untimed capture; every measured repeat is a pure replay.
         warm_store = TraceStore()
         run_benchmark(
@@ -346,32 +285,7 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
                     engine=engine,
                 )
             ]
-        if kind_sorter or kind in (
-            "trace_replay",
-            "vector_replay",
-            "vector_coalesce",
-            "vector_hmc",
-        ):
-            # The pre-HMC-kernel vector kinds pin the batched HMC back
-            # end *off* so their numbers (and the PR 8 baselines they
-            # are compared against) keep measuring the engine they
-            # named; only ``vector_hmc`` measures the back end.  The
-            # sorter_scale pair pins it off on both sides so the
-            # object/vector ratio isolates the sort machinery.
-            from repro.kernels.hmc import hmc_backend_disabled
-
-            if kind_sorter or kind in ("vector_replay", "vector_coalesce"):
-                with hmc_backend_disabled():
-                    return [
-                        run_benchmark(
-                            case.benchmark,
-                            platform=platform,
-                            coalescer=coalescer,
-                            profiler=profiler,
-                            trace_store=warm_store,
-                            engine=engine,
-                        )
-                    ]
+        if kind in REPLAY_KINDS:
             return [
                 run_benchmark(
                     case.benchmark,
@@ -418,16 +332,15 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
             for cfg in FIGURE_CONFIGS.values()
         ]
 
-    kernel_before = None
-    hmc_before = None
-    if kind in ("vector_coalesce", "vector_hmc"):
-        from repro.kernels.coalesce import kernel_counters
+    kernels_before = None
+    if kind == "vector_replay":
+        from repro.kernels import coalesce as coalesce_kernel
+        from repro.kernels import hmc as hmc_kernel
 
-        kernel_before = kernel_counters()
-    if kind == "vector_hmc":
-        from repro.kernels.hmc import kernel_counters as hmc_counters
-
-        hmc_before = hmc_counters()
+        kernels_before = (
+            coalesce_kernel.kernel_counters(),
+            hmc_kernel.kernel_counters(),
+        )
 
     walls: list[float] = []
     best_profiler: PhaseProfiler | None = None
@@ -446,43 +359,13 @@ def run_case(case: PerfCase, repeats: int = 3) -> CaseResult:
             best_results = results
     assert best_results is not None
     kernel_stats = None
-    if kernel_before is not None:
-        after = kernel_counters()
-        engaged = after["engaged"] - kernel_before["engaged"]
-        delegated = after["delegated"] - kernel_before["delegated"]
-        fallbacks = after["fallbacks"] - kernel_before["fallbacks"]
-        attempts = engaged + delegated
-        kernel_stats = {
-            "engaged": engaged,
-            "delegated": delegated,
-            "fallbacks": fallbacks,
-            # The verification miss rate: what fraction of
-            # kernel-engaged replays hit a verification miss and
-            # re-ran under the object engine.  Digest parity holds
-            # either way; a rising rate is a perf smell, not a
-            # correctness one.
-            "fallback_rate": (fallbacks / engaged) if engaged else 0.0,
-            "engagement_rate": (engaged / attempts) if attempts else 0.0,
-        }
-    if hmc_before is not None:
-        hafter = hmc_counters()
-        hengaged = hafter["engaged"] - hmc_before["engaged"]
-        hdelegated = hafter["delegated"] - hmc_before["delegated"]
-        hfallbacks = hafter["fallbacks"] - hmc_before["fallbacks"]
-        hattempts = hengaged + hdelegated
-        assert kernel_stats is not None
-        kernel_stats["hmc"] = {
-            "engaged": hengaged,
-            "delegated": hdelegated,
-            "fallbacks": hfallbacks,
-            "fallback_rate": (hfallbacks / hengaged) if hengaged else 0.0,
-            "engagement_rate": (hengaged / hattempts) if hattempts else 0.0,
-        }
-        portion = _hmc_portion_speedup(
-            case.benchmark, platform, coalescer, warm_store
+    if kernels_before is not None:
+        kernel_stats = _engagement(
+            kernels_before[0], coalesce_kernel.kernel_counters()
         )
-        if portion is not None:
-            kernel_stats["hmc_portion_speedup"] = portion
+        kernel_stats["hmc"] = _engagement(
+            kernels_before[1], hmc_kernel.kernel_counters()
+        )
     if sweep_trace_dir is not None:
         shutil.rmtree(sweep_trace_dir, ignore_errors=True)
     digests = [result_digest(r) for r in best_results]
@@ -515,7 +398,7 @@ def run_suite(
     suite_name: str = "",
     progress: Callable[[str], None] | None = None,
 ) -> dict:
-    """Run every case and assemble the ``BENCH_perf.json`` report.
+    """Run every case and assemble the perf report.
 
     Raises :class:`ValueError` on an empty case list: a filtered-down
     suite with zero matches would otherwise measure nothing and write
@@ -563,41 +446,19 @@ _SPEEDUP_PAIRS = {
     ("sweep_live", "sweep_shared"): "sweep_speedup",
     ("trace_capture", "vector_capture"): "vector_capture_speedup",
     ("trace_replay", "vector_replay"): "vector_replay_speedup",
-    ("trace_replay", "vector_coalesce"): "vector_coalesce_speedup",
-    ("trace_replay", "vector_hmc"): "vector_hmc_speedup",
-    ("sorter_scale_object", "sorter_scale"): "sorter_scale_speedup",
 }
 
 #: (slow kind, fast kind) -> (phase, metric): additionally derive the
-#: ratio of one *phase*'s time across the pair.  The kernel-engine
-#: pairs need this because the wall ratio dilutes the vectorized phase
-#: with engine-invariant machinery (the coalescer's CRQ/MSHR/HMC walk
-#: is digest-visible and identical under both engines), while the
-#: phase ratio isolates what the engine actually replaced.
+#: ratio of one *phase*'s time across a pair.  The kernel-engine pairs
+#: need this because the wall ratio dilutes the vectorized phase with
+#: engine-invariant work, while the phase ratio isolates what the
+#: engine actually replaced: the front end for capture, the sort and
+#: the DMC/CRQ/MSHR/HMC machinery for replay.
 _PHASE_SPEEDUP_PAIRS = {
     ("trace_capture", "vector_capture"): ("trace", "vector_capture_trace_speedup"),
     ("trace_replay", "vector_replay"): (
         "coalesce",
         "vector_replay_coalesce_speedup",
-    ),
-    ("trace_replay", "vector_coalesce"): (
-        "coalesce",
-        "vector_coalesce_phase_speedup",
-    ),
-    # vector_coalesce pins the HMC back end off, so this pair isolates
-    # exactly what the batched HMC kernel changed within the phase
-    # that contains it.
-    ("vector_coalesce", "vector_hmc"): (
-        "coalesce",
-        "vector_hmc_phase_speedup",
-    ),
-    # Both halves replay the same warm trace at the same width/arch
-    # with the HMC back end pinned off; the sort machinery lives in the
-    # coalesce phase, so this ratio is the sort-phase speedup the wide
-    # vector path buys at each design point.
-    ("sorter_scale_object", "sorter_scale"): (
-        "coalesce",
-        "sorter_scale_phase_speedup",
     ),
 }
 
@@ -626,12 +487,7 @@ def derive_speedups(cases: dict) -> dict:
         )
         by_key[key] = entry
     derived: dict = {}
-    # A pair may carry a wall-ratio metric, a phase-ratio metric, or
-    # both (the vector_coalesce/vector_hmc pair is phase-only: its
-    # wall-vs-object ratio already exists as vector_hmc_speedup).
-    pairs = sorted({*_SPEEDUP_PAIRS, *_PHASE_SPEEDUP_PAIRS})
-    for slow_kind, fast_kind in pairs:
-        metric = _SPEEDUP_PAIRS.get((slow_kind, fast_kind))
+    for (slow_kind, fast_kind), metric in sorted(_SPEEDUP_PAIRS.items()):
         phase_metric = _PHASE_SPEEDUP_PAIRS.get((slow_kind, fast_kind))
         for key, slow in by_key.items():
             if key[0] != slow_kind:
@@ -646,10 +502,9 @@ def derive_speedups(cases: dict) -> dict:
                 suffix += f"/w{key[6]}"
             if key[7]:
                 suffix += f"/{key[7]}"
-            if metric is not None:
-                derived[f"{metric}:{suffix}"] = (
-                    slow["wall_seconds"] / fast["wall_seconds"]
-                )
+            derived[f"{metric}:{suffix}"] = (
+                slow["wall_seconds"] / fast["wall_seconds"]
+            )
             if phase_metric is not None:
                 phase, name = phase_metric
                 slow_t = (slow.get("phases") or {}).get(phase)
@@ -657,8 +512,7 @@ def derive_speedups(cases: dict) -> dict:
                 if slow_t and fast_t:
                     derived[f"{name}:{suffix}"] = slow_t / fast_t
             if slow.get("digest") != fast.get("digest"):
-                mismatch = metric or (phase_metric and phase_metric[1])
-                derived[f"{mismatch}:{suffix}:digest_mismatch"] = True
+                derived[f"{metric}:{suffix}:digest_mismatch"] = True
     return derived
 
 

@@ -355,19 +355,15 @@ def run_trace_through_coalescer(
     records: Iterable[TraceRecord],
     *,
     coalescer: MemoryCoalescer,
-    device: HMCDevice | None = None,
-    cycle_ns: float,
     profiler: PhaseProfiler | None = None,
 ) -> int:
     """Feed an LLC trace through a coalescer backed by an HMC device.
 
-    The coalescer asks the device for each issued packet's round trip;
-    the device is driven with real arrival times so vault queueing and
-    bank conflicts shape the latency.  Returns the final trace cycle.
-
-    ``coalescer``, ``device`` and ``cycle_ns`` are keyword-only;
-    ``device`` is accepted for symmetry with the stack diagram (the
-    coalescer's service-time hook already closes over it).
+    The coalescer asks the device for each issued packet's round trip
+    through its service-time hook, which closes over the device and
+    the cycle time; the device is driven with real arrival times so
+    vault queueing and bank conflicts shape the latency.  Returns the
+    final trace cycle.  ``coalescer`` is keyword-only.
 
     With a ``profiler``, the wall-clock cost of producing each record
     (workload generation + cache filtering) is charged to the
@@ -621,11 +617,7 @@ def run_benchmark(
     if capture is not None:
         records = _tee_records(records, capture)
     last_cycle = run_trace_through_coalescer(
-        records,
-        coalescer=coal,
-        device=device,
-        cycle_ns=platform.cycle_ns,
-        profiler=profiler,
+        records, coalescer=coal, profiler=profiler
     )
     tracer.publish_metrics()
     coal.publish_metrics()

@@ -60,13 +60,6 @@ class ReplayResult:
             return 0.0
         return sum(self.latencies_ns) / len(self.latencies_ns)
 
-    @property
-    def p99_latency_ns(self) -> float:
-        if not self.latencies_ns:
-            return 0.0
-        ordered = sorted(self.latencies_ns)
-        return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
 
 class EventDrivenHMC:
     """Replay engine with a finite outstanding window.

@@ -461,8 +461,6 @@ def _issued_of(sim: SimulationResult, trace_store: TraceStore | None = None):
     run_trace_through_coalescer(
         tracer.trace(workload.accesses(platform.accesses)),
         coalescer=coalescer,
-        device=device,
-        cycle_ns=platform.cycle_ns,
     )
     return coalescer.issued
 

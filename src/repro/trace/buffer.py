@@ -142,9 +142,9 @@ class TraceBuffer:
         self._source: _mmap.mmap | None = None
         self._verified = True
         # Per-buffer scratch for replay engines: decoded columns and
-        # sort keys (pure functions of the trace content) and tables
-        # keyed by config, reusable across back-to-back replays of the
-        # same buffer.  Never serialized.
+        # sort keys (pure functions of the trace content), reusable
+        # across back-to-back replays of the same buffer.  Never
+        # serialized.
         self.replay_cache: dict | None = None
 
     # -- capture -------------------------------------------------------------

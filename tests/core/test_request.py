@@ -136,8 +136,7 @@ class TestTrustedConstructors:
             [row[2] for row in self.ROWS],
             [row[3] for row in self.ROWS],
         )
-        _, decoded = _decoded_columns(buffer)
-        _, addrs, flags, sizes, requested_col, _ = decoded
+        _, addrs, flags, sizes, requested_col, _ = _decoded_columns(buffer)
         for j, (addr, rtype, size, requested) in enumerate(self.ROWS):
             reset_id_counters()
             want = MemoryRequest(

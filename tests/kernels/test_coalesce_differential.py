@@ -35,6 +35,14 @@ fuller than its pushes did: deeper than its depth before a push, and
 full before any push filled it.  A watcher asserts that each case
 really reaches its hand-off.
 
+Each random example also draws the route the kernel's packets take to
+the HMC device: the stock ``HMCDevice``, where the batched HMC back
+end engages, or a trivial subclass patched in as
+``repro.sim.driver.HMCDevice``, which is outside the back end's
+envelope, so the kernel times every packet through the driver's
+``service_time`` closure.  The HMC kernel must count the drawn route
+(``engaged`` or ``delegated``) and never fall back.
+
 A forced mid-run verification miss checks the fallback contract, with
 and without the DMC unit: the partially-mutated stack is discarded,
 the object engine re-runs, and the result is still bit-identical (one
@@ -44,6 +52,7 @@ no overlap-search state at all.
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -60,11 +69,13 @@ from repro.core.request import Access, RequestType
 from repro.core.sorting import SORTER_ARCHITECTURES
 from repro.hmc.device import HMCDevice
 from repro.hmc.timing import FUTURE_HMC_CONFIG
+from repro.kernels import hmc as hmc_kernel
 from repro.kernels import replay as replay_module
 from repro.kernels.coalesce import BatchedCoalescer, kernel_counters
 from repro.kernels.replay import vector_replay
 from repro.obs import MetricsRegistry
 from repro.perf.digest import result_digest
+from repro.sim import driver
 from repro.sim.driver import (
     PlatformConfig,
     _make_service_time,
@@ -215,18 +226,40 @@ def _to_accesses(rows) -> list[Access]:
     return out
 
 
-def _assert_engines_match(events: list[Access], coalescer: CoalescerConfig):
+class _ClosureTimedDevice(HMCDevice):
+    """A stock device in all but its type, which puts it outside the
+    HMC back end's envelope: the kernel times its packets through the
+    driver's ``service_time`` closure."""
+
+
+#: The HMC route of one example: the stock device, where the batched
+#: back end engages, or the subclass, where the kernel delegates the
+#: timing to the closure.  Drawn per example, not run both ways, so
+#: each example costs one vector run per config.
+_HMC_ROUTES = st.sampled_from((HMCDevice, _ClosureTimedDevice))
+
+
+def _assert_engines_match(
+    events: list[Access], coalescer: CoalescerConfig, device: type
+):
     workload = _Scripted(events)
     platform = _platform(len(events), coalescer)
     obj = run_benchmark(workload, platform=platform, engine="object")
     before = kernel_counters()
-    vec = run_benchmark(workload, platform=platform, engine="vector")
+    hmc_before = hmc_kernel.kernel_counters()
+    with mock.patch.object(driver, "HMCDevice", device):
+        vec = run_benchmark(workload, platform=platform, engine="vector")
     after = kernel_counters()
+    hmc_after = hmc_kernel.kernel_counters()
     # The batched kernel must actually be the thing under test: the
     # stock component stack supports it, so the run engages it (no
     # silent delegation) and verification never misses.
     assert after["engaged"] == before["engaged"] + 1
     assert after["fallbacks"] == before["fallbacks"]
+    # Its packets took the drawn route to the device.
+    route = "engaged" if device is HMCDevice else "delegated"
+    assert hmc_after[route] == hmc_before[route] + 1
+    assert hmc_after["fallbacks"] == hmc_before["fallbacks"]
     assert vec.metrics.as_flat_dict() == obj.metrics.as_flat_dict()
     assert result_digest(vec) == result_digest(obj)
 
@@ -236,10 +269,15 @@ def _assert_engines_match(events: list[Access], coalescer: CoalescerConfig):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(rows=_EVENT_ROWS, sorter=_SORTER_CONFIGS, drawn=_COALESCER_CONFIGS)
-def test_random_flush_batches_match_object_engine(rows, sorter, drawn):
+@given(
+    rows=_EVENT_ROWS,
+    sorter=_SORTER_CONFIGS,
+    drawn=_COALESCER_CONFIGS,
+    device=_HMC_ROUTES,
+)
+def test_random_flush_batches_match_object_engine(rows, sorter, drawn, device):
     for coalescer in (*_RANDOM_CONFIGS, sorter, drawn):
-        _assert_engines_match(_to_accesses(rows), coalescer)
+        _assert_engines_match(_to_accesses(rows), coalescer, device)
 
 
 @settings(
@@ -247,10 +285,10 @@ def test_random_flush_batches_match_object_engine(rows, sorter, drawn):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(rows=_EVENT_ROWS)
-def test_merge_while_full_matches_object_engine(rows):
+@given(rows=_EVENT_ROWS, device=_HMC_ROUTES)
+def test_merge_while_full_matches_object_engine(rows, device):
     for coalescer in _FULL_CONFIGS:
-        _assert_engines_match(_to_accesses(rows), coalescer)
+        _assert_engines_match(_to_accesses(rows), coalescer, device)
 
 
 @settings(
@@ -261,8 +299,11 @@ def test_merge_while_full_matches_object_engine(rows):
 @given(
     rows=_EVENT_ROWS,
     fence_offset=st.integers(-1, 1),
+    device=_HMC_ROUTES,
 )
-def test_fence_adjacent_flushes_match_object_engine(rows, fence_offset):
+def test_fence_adjacent_flushes_match_object_engine(
+    rows, fence_offset, device
+):
     """Fences pinned against sorter-width flush boundaries.
 
     ``fence_offset`` places each fence one row before, exactly on, or
@@ -275,7 +316,7 @@ def test_fence_adjacent_flushes_match_object_engine(rows, fence_offset):
     )
     for pos in range(width + fence_offset, len(events), width):
         events[pos] = Access(addr=0, size=0, rtype=RequestType.FENCE)
-    _assert_engines_match(events, _COMBINED)
+    _assert_engines_match(events, _COMBINED, device)
 
 
 def test_verification_miss_falls_back_to_object_engine(monkeypatch):

@@ -1,6 +1,8 @@
 """Differential suite for the batched HMC back-end timing kernel.
 
-Two layers of properties:
+The back end engages whenever its envelope admits the stack (the
+driver's ``service_time`` closure over a pristine stock device); a
+warm device delegates.  Two layers of properties:
 
 * **Unit differential** -- random packet streams (Hypothesis owns the
   randomness) run through the object engine's ``service_time`` closure
@@ -9,9 +11,7 @@ Two layers of properties:
   activation counts and the flattened metrics registry must be
   bit-identical after the end-of-run publish.  Streams cover row-hit/miss
   boundaries (same-bank row ping-pong), vault-queue saturation (every
-  packet on one vault) and both page policies; ``replay_batch`` -- the
-  feedback-free whole-batch NumPy pass -- must advance the timing
-  state exactly like repeated ``service`` calls.
+  packet on one vault) and both page policies.
 
 * **End-to-end differential** -- scripted access streams (with fences
   pinned next to flush boundaries) run under the object and vector
@@ -19,7 +19,9 @@ Two layers of properties:
   delegation) and produce a bit-identical :func:`result_digest`.  A
   forced verification miss checks the fallback contract: the run falls
   back to the object engine whole, the miss is counted, and the result
-  is still bit-identical.
+  is still bit-identical.  The kernel's other route, a stack outside
+  the envelope timed through the closure, is drawn per example in
+  ``tests/kernels/test_coalesce_differential.py``.
 """
 
 from dataclasses import replace
@@ -198,35 +200,6 @@ def test_vault_queue_saturation_matches(rows):
     assert vec_cycles == obj_cycles
     assert obj_dev.vaults[0].stats.requests == len(stream)
     _assert_devices_match(obj_dev, vec_dev)
-
-
-@settings(max_examples=20, deadline=None)
-@given(rows=_ROWS, split=st.integers(0, 220), closed=st.booleans())
-def test_replay_batch_advances_state_like_service(rows, split, closed):
-    """The whole-batch NumPy pass is timing-equivalent to service().
-
-    A prefix runs through ``service`` on both backends (building up
-    arbitrary link/vault/bank state), then the suffix runs per-packet
-    on one and as a single ``replay_batch`` on the other: completion
-    cycles and the resulting timing state must be identical.
-    """
-    config = _CLOSED if closed else _OPEN
-    stream = _requests(rows)
-    split = min(split, len(stream))
-    _, _, scalar = _backend_run(config, stream[:split])
-    _, _, batched = _backend_run(config, stream[:split])
-    tail = stream[split:]
-    scalar_cycles = [scalar.service(req, at) for req, at in tail]
-    batch_cycles = batched.replay_batch(
-        [req.addr for req, _ in tail],
-        [req.num_lines * 64 for req, _ in tail],
-        [1 if req.rtype is RequestType.STORE else 0 for req, _ in tail],
-        [at for _, at in tail],
-    )
-    assert batch_cycles == scalar_cycles
-    assert batched._vault_free == scalar._vault_free
-    assert batched._bank_rows == scalar._bank_rows
-    assert batched._acts == scalar._acts
 
 
 def test_envelope_violation_raises_kernel_error():

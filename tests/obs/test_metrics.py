@@ -255,53 +255,11 @@ class TestTimeline:
 
 
 class TestBoundHandles:
-    """bind() handles must be observationally identical to keyword
-    labels -- same values, same series set, same flat dict -- since
-    the hot paths use them and the result digest covers the output."""
-
-    def test_counter_bind_matches_labelled_inc(self):
-        a, b = Counter("c_total"), Counter("c_total")
-        bound = a.bind(op="read")
-        bound.inc()
-        bound.inc(2.5)
-        b.inc(op="read")
-        b.inc(2.5, op="read")
-        assert list(a.samples()) == list(b.samples())
-
-    def test_counter_bind_no_labels(self):
-        c = Counter("c_total")
-        c.bind().inc(3)
-        assert c.value() == 3
-
-    def test_bound_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("c_total").bind().inc(-1)
-
-    def test_gauge_bind_set_and_set_max(self):
-        a, b = Gauge("g"), Gauge("g")
-        bound = a.bind(k="v")
-        bound.set(5)
-        bound.set_max(3)  # below current max: ignored
-        bound.set_max(9)
-        b.set(5, k="v")
-        b.set_max(3, k="v")
-        b.set_max(9, k="v")
-        assert list(a.samples()) == list(b.samples())
-
-    def test_histogram_bind_matches_labelled_observe(self):
-        a = Histogram("h", buckets=(1, 10))
-        b = Histogram("h", buckets=(1, 10))
-        bound = a.bind(stage="x")
-        for v in (0.5, 5, 50):
-            bound.observe(v)
-            b.observe(v, stage="x")
-        sa = {tuple(sorted(k.items())): s for k, s in a.samples()}
-        sb = {tuple(sorted(k.items())): s for k, s in b.samples()}
-        assert sa.keys() == sb.keys()
-        for key in sa:
-            assert sa[key].counts == sb[key].counts
-            assert sa[key].sum == sb[key].sum
-            assert (sa[key].min, sa[key].max) == (sb[key].min, sb[key].max)
+    """``Histogram.observe_each`` took over the one job the per-label
+    bound handles still had: publishing a vault's queue waits in one
+    pass.  It must be observationally identical to one ``observe`` per
+    value -- same buckets, sum, count, min and max -- since the result
+    digest covers the output."""
 
     def test_histogram_observe_each_matches_one_at_a_time(self):
         # Bucket edges, repeats, 0.0, overflow, and an order whose
@@ -310,14 +268,13 @@ class TestBoundHandles:
         assert sum(values) != math.fsum(values)
         a = Histogram("h", buckets=(0.0, 1.0, 2.0, 256.0))
         b = Histogram("h", buckets=(0.0, 1.0, 2.0, 256.0))
-        bound_a, bound_b = a.bind(vault="0"), b.bind(vault="0")
-        bound_a.observe_each(values)
+        a.observe_each(values, vault="0")
         for v in values:
-            bound_b.observe(v)
+            b.observe(v, vault="0")
         # A second batch folds onto the existing series.
-        bound_a.observe_each([0.5, 0.0])
-        bound_b.observe(0.5)
-        bound_b.observe(0.0)
+        a.observe_each([0.5, 0.0], vault="0")
+        b.observe(0.5, vault="0")
+        b.observe(0.0, vault="0")
         [(ka, sa)] = a.samples()
         [(kb, sb)] = b.samples()
         assert ka == kb
@@ -327,32 +284,5 @@ class TestBoundHandles:
 
     def test_histogram_observe_each_of_nothing_creates_no_series(self):
         h = Histogram("h")
-        h.bind(vault="0").observe_each([])
+        h.observe_each([], vault="0")
         assert not list(h.samples())
-
-    def test_unused_bound_handles_create_no_series(self):
-        # Digest safety: binding alone must not materialize a series.
-        c, g, h = Counter("c_total"), Gauge("g"), Histogram("h")
-        c.bind(op="read")
-        g.bind(k="v")
-        h.bind(stage="x")
-        assert not list(c.samples())
-        assert not list(g.samples())
-        assert not list(h.samples())
-
-    def test_histogram_bind_before_first_observe_is_lazy(self):
-        h = Histogram("h", buckets=(1,))
-        bound = h.bind(stage="x")
-        other = h.bind(stage="x")
-        bound.observe(0.5)
-        other.observe(0.5)  # second handle sees the same series
-        assert h.count(stage="x") == 2
-
-    def test_null_registry_bind_is_noop(self):
-        from repro.obs import NULL_REGISTRY
-
-        NULL_REGISTRY.counter("c_total").bind(op="x").inc()
-        NULL_REGISTRY.gauge("g").bind().set_max(3.0)
-        NULL_REGISTRY.histogram("h").bind(stage="x").observe(1.0)
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.as_flat_dict() == {}

@@ -66,25 +66,41 @@ def test_run_suite_rejects_empty_case_list():
         run_suite([])
 
 
-def test_vector_coalesce_case_records_kernel_stats():
+def test_vector_replay_case_records_kernel_stats():
     pair = [
         PerfCase("STREAM", "combined", 800, kind="trace_replay"),
-        PerfCase("STREAM", "combined", 800, kind="vector_coalesce"),
+        PerfCase("STREAM", "combined", 800, kind="vector_replay"),
     ]
     report = run_suite(pair, repeats=1, suite_name="tiny")
     twin = report["cases"][pair[0].name]
     entry = report["cases"][pair[1].name]
-    # The fallback rate is a first-class report number (docs/performance.md).
+    # The fallback rate is a first-class report number (docs/performance.md),
+    # for the coalescing kernel and for the HMC back end behind it.
     kernel = entry["kernel"]
-    assert kernel["engaged"] >= 1
-    assert kernel["fallbacks"] == 0
-    assert kernel["fallback_rate"] == 0.0
-    assert kernel["engagement_rate"] == 1.0
+    for stats in (kernel, kernel["hmc"]):
+        assert stats["engaged"] >= 1
+        assert stats["delegated"] == 0
+        assert stats["fallbacks"] == 0
+        assert stats["fallback_rate"] == 0.0
+        assert stats["engagement_rate"] == 1.0
     assert "kernel" not in twin  # object twin carries no kernel block
     assert entry["digest"] == twin["digest"]
     derived = report["derived"]
-    assert derived["vector_coalesce_speedup:STREAM/combined@800"] > 0
-    assert derived["vector_coalesce_phase_speedup:STREAM/combined@800"] > 0
+    assert derived["vector_replay_speedup:STREAM/combined@800"] > 0
+    assert derived["vector_replay_coalesce_speedup:STREAM/combined@800"] > 0
+
+
+def test_sorter_override_applies_to_replay_kinds_only():
+    replay = dict(benchmark="SG", config="combined", accesses=800)
+    wide = PerfCase(
+        **replay, kind="vector_replay", sorter_width=32, sorter_arch="single_phase"
+    )
+    assert wide.name == "vector_replay:SG/combined@800/w32/single_phase"
+    assert PerfCase(**replay, kind="trace_replay", sorter_width=32)
+    with pytest.raises(ValueError, match="only apply to"):
+        PerfCase(**replay, sorter_width=32)
+    with pytest.raises(ValueError, match="needs an explicit sorter_width"):
+        PerfCase(**replay, kind="trace_replay", sorter_arch="two_phase")
 
 
 def test_load_report_rejects_unknown_schema(tmp_path):

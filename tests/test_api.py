@@ -87,6 +87,6 @@ class TestDeprecationShims:
         with pytest.raises(TypeError):
             driver.run_benchmark("STREAM", platform, platform=platform)
 
-    def test_keyword_form_requires_coalescer_and_cycle_ns(self):
+    def test_keyword_form_requires_coalescer(self):
         with pytest.raises(TypeError, match="coalescer"):
             driver.run_trace_through_coalescer([])

@@ -355,15 +355,16 @@ class TestPerfUpdateBaseline:
         self, tmp_path, monkeypatch, capsys
     ):
         """A local re-record writes its report to an untracked path by
-        default; the checked-in ``BENCH_perf.json`` changes only when
-        ``--out`` names it."""
+        default; a ``BENCH_perf.json`` in the working directory (the
+        name CI's smoke step writes) changes only when ``--out`` names
+        it."""
         import repro.perf
         from repro.perf import load_report, save_report
 
         monkeypatch.chdir(tmp_path)
-        checked_in = tmp_path / "BENCH_perf.json"
-        save_report(self._report("aaa"), checked_in)
-        before = checked_in.read_bytes()
+        ci_report = tmp_path / "BENCH_perf.json"
+        save_report(self._report("aaa"), ci_report)
+        before = ci_report.read_bytes()
         baseline = tmp_path / "baseline.json"
         save_report(self._report("aaa"), baseline)
         monkeypatch.setattr(
@@ -372,11 +373,11 @@ class TestPerfUpdateBaseline:
             lambda cases, **kwargs: self._report("aaa", name=cases[0].name),
         )
         argv = [
-            "perf", "--suite", "smoke", "--filter", "vector_hmc:*",
+            "perf", "--suite", "smoke", "--filter", "vector_replay:*",
             "--update-baseline", "--baseline", str(baseline), "--quiet",
         ]
         assert main(argv) == 0
-        assert checked_in.read_bytes() == before
+        assert ci_report.read_bytes() == before
         assert load_report(tmp_path / "BENCH_perf.local.json")["cases"]
 
     def test_creates_baseline_when_absent(self, tmp_path, capsys):
