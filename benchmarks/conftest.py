@@ -1,14 +1,15 @@
 """Shared fixtures for the figure-reproduction benchmark harness.
 
-A single session-scoped :class:`EvaluationSuite` backs all figure
+A single pytest-session-scoped :class:`repro.Session` backs all figure
 benches, so each (benchmark, configuration) simulation runs exactly
 once regardless of how many figures consume it.
 """
 
 import pytest
 
+from repro import Session
+from repro.analysis.report import format_figure
 from repro.sim.driver import PlatformConfig
-from repro.sim.experiments import EvaluationSuite
 
 #: Trace length for the benchmark harness: long enough for stable
 #: percentages, short enough that the full suite finishes in minutes.
@@ -25,8 +26,8 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(scope="session")
-def suite(request) -> EvaluationSuite:
-    instance = EvaluationSuite(PlatformConfig(accesses=BENCH_ACCESSES))
+def suite(request) -> Session:
+    instance = Session(accesses=BENCH_ACCESSES)
     yield instance
     out = request.config.getoption("--metrics-out")
     if out:
@@ -54,20 +55,6 @@ def platform() -> PlatformConfig:
 
 
 def print_figure(data) -> None:
-    """Render a FigureData like the paper's figure, via stdout."""
-    from repro.analysis.report import format_table
-
-    rows = [
-        [
-            f"{v:.4f}" if isinstance(v, float) else v
-            for v in row
-        ]
-        for row in data.rows
-    ]
+    """Render a FigureData as ``repro figures`` does, via stdout."""
     print()
-    print(f"== {data.figure}: {data.description} ==")
-    print(format_table(data.headers, rows))
-    if data.summary:
-        print("summary:")
-        for key, value in data.summary.items():
-            print(f"  {key}: {value:.4f}" if isinstance(value, float) else f"  {key}: {value}")
+    print(format_figure(data))

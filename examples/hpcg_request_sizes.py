@@ -14,17 +14,16 @@ Usage::
 
 import sys
 
+from repro import Session
 from repro.analysis.report import format_bar_chart, format_table
-from repro.sim.driver import PlatformConfig
-from repro.sim.experiments import EvaluationSuite
 
 
 def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "HPCG"
     accesses = int(sys.argv[2]) if len(sys.argv) > 2 else 12_000
 
-    suite = EvaluationSuite(PlatformConfig(accesses=accesses))
-    data = suite.fig10_request_distribution(benchmark)
+    session = Session(accesses=accesses)
+    data = session.fig10_request_distribution(benchmark)
 
     rows = [
         [size, kind, count, f"{share:.2%}"]
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"16 B load share: {data.summary['share_16B_loads']:.2%} "
           f"(paper: 40.25% for HPCG)")
 
-    eff = suite.run(benchmark, "combined")
+    eff = session.run(benchmark)  # the default coalescer: both phases
     print(
         f"{benchmark}: coalescing efficiency "
         f"{eff.coalescing_efficiency:.2%} but bandwidth efficiency only "

@@ -13,15 +13,13 @@ Usage::
 
 import sys
 
+from repro import Session
 from repro.analysis.report import format_bar_chart, format_table
-from repro.sim.driver import PlatformConfig
-from repro.sim.experiments import EvaluationSuite
 
 
 def main() -> None:
     accesses = int(sys.argv[1]) if len(sys.argv) > 1 else 12_000
-    suite = EvaluationSuite(PlatformConfig(accesses=accesses))
-    data = suite.fig8_coalescing_efficiency()
+    data = Session(accesses=accesses).fig8_coalescing_efficiency()
 
     rows = [
         [name, f"{mshr:.2%}", f"{dmc:.2%}", f"{both:.2%}"]

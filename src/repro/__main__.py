@@ -104,55 +104,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_figures(args) -> int:
     from repro.analysis.export import save_figure_svgs, save_figures
-    from repro.analysis.report import format_table
-    from repro.sim.driver import PlatformConfig
-    from repro.sim.experiments import (
-        EvaluationSuite,
-        fig1_bandwidth_efficiency,
-        fig2_control_overhead,
-        fig14_timeout_sweep,
-    )
+    from repro.analysis.report import format_figure
+    from repro.api import Session
 
-    def show(data):
-        rows = [
-            [f"{v:.4f}" if isinstance(v, float) else v for v in row]
-            for row in data.rows
-        ]
-        print()
-        print(f"== {data.figure}: {data.description} ==")
-        print(format_table(data.headers, rows))
-        for key, value in data.summary.items():
-            print(
-                f"  {key}: {value:.4f}"
-                if isinstance(value, float)
-                else f"  {key}: {value}"
-            )
-
-    suite = EvaluationSuite(
-        PlatformConfig(accesses=args.accesses),
-        jobs=args.jobs,
-        trace_dir=args.trace_dir,
-    )
-    if args.jobs > 1:
-        suite.prefetch()
-    figures = [
-        fig1_bandwidth_efficiency(),
-        fig2_control_overhead(),
-        suite.fig8_coalescing_efficiency(),
-        suite.fig9_bandwidth_efficiency(),
-        suite.fig10_request_distribution("HPCG"),
-        suite.fig11_bandwidth_saving(),
-        suite.fig12_dmc_latency(),
-        suite.fig13_crq_fill_time(),
-        suite.fig15_performance(),
-        fig14_timeout_sweep(
-            platform=PlatformConfig(accesses=max(3000, args.accesses // 3)),
-            jobs=args.jobs,
-            trace_dir=args.trace_dir,
-        ),
-    ]
+    figures = Session(
+        accesses=args.accesses, jobs=args.jobs, trace_dir=args.trace_dir
+    ).figures()
     for data in figures:
-        show(data)
+        print()
+        print(format_figure(data))
     if args.json:
         path = save_figures(figures, args.json)
         print(f"\nwrote {path}")
@@ -336,15 +296,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.analysis.sweep_report import format_sweep_summary, load_sweep_dir
-    from repro.sim.driver import PlatformConfig
+    from repro.api import Session
     from repro.errors import ConfigError
-    from repro.sim.sweep import (
-        FIGURE_CONFIGS,
-        SweepSpec,
-        clamp_jobs,
-        parse_config_tokens,
-        run_sweep,
-    )
+    from repro.sim.sweep import parse_config_tokens
 
     if args.summarize:
         runs = load_sweep_dir(args.summarize)
@@ -355,9 +309,7 @@ def _cmd_sweep(args) -> int:
         print(f"{len(runs)} checkpointed runs")
         return 0
 
-    platform = PlatformConfig(accesses=args.accesses, seed=args.seed)
-    benchmarks = tuple(args.benchmarks.split(",")) if args.benchmarks else None
-    configs = dict(FIGURE_CONFIGS)
+    configs = None
     if args.configs:
         # Tokens may carry @key=value sorter overrides, e.g.
         # combined@sorter_width=64@sorter_arch=two_phase.
@@ -366,22 +318,17 @@ def _cmd_sweep(args) -> int:
         except ConfigError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    spec = SweepSpec(
-        platform=platform,
-        benchmarks=benchmarks or (),
+    session = Session(accesses=args.accesses, seed=args.seed, trace_dir=args.trace_dir)
+    sweep = session.sweep(
+        benchmarks=tuple(args.benchmarks.split(",")) if args.benchmarks else None,
         configs=configs,
-    )
-    progress = None if args.quiet else print
-    sweep = run_sweep(
-        spec,
-        jobs=clamp_jobs(args.jobs),
+        jobs=args.jobs,
         out_dir=args.out,
         resume=args.resume,
         timeout=args.timeout,
         retries=args.retries,
         filter=args.filter,
-        progress=progress,
-        trace_dir=args.trace_dir,
+        progress=None if args.quiet else print,
         executor=args.sweep_executor,
     )
     runs = list(sweep.results.items())

@@ -1,8 +1,9 @@
-"""Plain-text rendering of tables and bar charts.
+"""Plain-text rendering of tables, bar charts and reproduced figures.
 
-The benchmark harness prints every figure's data as an ASCII table
-plus, where it helps, a horizontal bar chart -- the same series the
-paper plots, readable in a terminal or CI log.
+``repro figures`` and the benchmark harness print every figure's data
+through :func:`format_figure` (an ASCII table plus its summary
+scalars); examples add a horizontal bar chart where it helps -- the
+same series the paper plots, readable in a terminal or CI log.
 """
 
 from __future__ import annotations
@@ -32,6 +33,22 @@ def format_table(
     out.append("  ".join("-" * w for w in widths))
     out.extend(line(r) for r in cells[1:])
     return "\n".join(out)
+
+
+def format_figure(data) -> str:
+    """Render one :class:`~repro.sim.experiments.FigureData`: a title
+    line, its table and one indented line per summary scalar, floats
+    to four decimals."""
+
+    def fixed(value: object) -> str:
+        return f"{value:.4f}" if isinstance(value, float) else str(value)
+
+    lines = [
+        f"== {data.figure}: {data.description} ==",
+        format_table(data.headers, [[fixed(v) for v in row] for row in data.rows]),
+    ]
+    lines.extend(f"  {key}: {fixed(value)}" for key, value in data.summary.items())
+    return "\n".join(lines)
 
 
 def format_bar_chart(

@@ -11,43 +11,27 @@ module) instead of reaching into ``repro.sim.driver`` internals::
     sweep = s.sweep(jobs=4)                      # full figure grid, parallel
     figures = s.figures(jobs=4)                  # every paper figure
 
-A :class:`Session` owns one base :class:`~repro.sim.driver.PlatformConfig`
-plus a results cache keyed by the *content digest* of the effective
-platform, so structurally equal configurations -- however constructed --
-run exactly once.  ``sweep()`` and ``figures()`` route through the
-parallel sweep engine (:mod:`repro.sim.sweep`) and feed its results
-back into the same cache; with a ``checkpoint_dir`` the cache persists
-across processes and interrupted sweeps resume for free.
+A :class:`Session` (defined in :mod:`repro.sim.experiments`, next to
+the figure runners it carries) owns one base
+:class:`~repro.sim.driver.PlatformConfig` plus a results cache keyed by
+the *content digest* of the effective platform, so structurally equal
+configurations -- however constructed -- run exactly once.
+``sweep()`` and ``figures()`` route through the parallel sweep engine
+(:mod:`repro.sim.sweep`) and feed its results back into the same
+cache; with a ``checkpoint_dir`` the cache persists across processes
+and interrupted sweeps resume for free.
 
-Everything here is a thin, stable veneer: the underlying modules keep
-evolving, but ``Session.run`` / ``Session.sweep`` / ``Session.figures``
-and the re-exported config/result types are the supported API.
+The underlying modules keep evolving, but ``Session.run`` /
+``Session.sweep`` / ``Session.figures`` and the re-exported
+config/result types are the supported API.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from pathlib import Path
-from typing import Mapping, Sequence
-
-from repro.core.config import CoalescerConfig, UNCOALESCED_CONFIG
-from repro.errors import ConfigError
-from repro.sim.driver import (
-    PlatformConfig,
-    SimulationResult,
-    runtime_improvement,
-)
-from repro.sim.experiments import CachedRun, EvaluationSuite, FigureData
-from repro.sim.sweep import (
-    FIGURE_CONFIGS,
-    Progress,
-    SweepResult,
-    SweepSpec,
-    clamp_jobs,
-    parse_config_token,
-    parse_config_tokens,
-    run_sweep,
-)
+from repro.core.config import CoalescerConfig
+from repro.sim.driver import PlatformConfig, SimulationResult
+from repro.sim.experiments import CachedRun, FigureData, Session
+from repro.sim.sweep import SweepResult, SweepSpec
 
 __all__ = [
     "CachedRun",
@@ -59,272 +43,3 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
 ]
-
-
-class Session:
-    """One configured evaluation context with a shared results cache.
-
-    Parameters
-    ----------
-    platform:
-        Base platform; defaults to the paper's Section 5.2 machine.
-    accesses / seed:
-        Conveniences that override the corresponding platform fields
-        without constructing a :class:`PlatformConfig` by hand.
-    jobs:
-        Default worker-process count for :meth:`sweep`,
-        :meth:`figures` and :meth:`prefetch`.
-    checkpoint_dir:
-        Directory for the sweep engine's per-run checkpoint files.
-        When set, completed runs persist across Sessions and
-        interrupted sweeps resume automatically.
-    trace_dir:
-        Directory for the on-disk LLC trace store
-        (:class:`repro.trace.TraceStore`).  Sessions always share
-        captured traces in memory -- each benchmark's front end runs
-        once per (geometry, pacing) key and every coalescer config
-        replays it bit-identically; ``trace_dir`` additionally
-        persists captures across Sessions and ships them to sweep
-        worker processes.
-    engine:
-        Kernel execution engine for the session's in-process runs:
-        ``"object"`` (the reference interpreter) or ``"vector"``
-        (columnar NumPy fast paths).  ``None`` takes the library
-        default (:data:`repro.kernels.DEFAULT_ENGINE`).  Engine choice
-        never changes results -- the vector engine is bit-exact -- so
-        it is a Session knob, not a platform parameter.
-    """
-
-    def __init__(
-        self,
-        platform: PlatformConfig | None = None,
-        *,
-        accesses: int | None = None,
-        seed: int | None = None,
-        jobs: int = 1,
-        checkpoint_dir: str | Path | None = None,
-        trace_dir: str | Path | None = None,
-        engine: str | None = None,
-    ):
-        base = platform or PlatformConfig()
-        if accesses is not None:
-            base = replace(base, accesses=accesses)
-        if seed is not None:
-            base = replace(base, seed=seed)
-        self.platform = base
-        self.jobs = jobs
-        self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
-        self.trace_dir = str(trace_dir) if trace_dir else None
-        self.engine = engine
-        self._suite = EvaluationSuite(
-            base,
-            jobs=jobs,
-            checkpoint_dir=self.checkpoint_dir,
-            trace_dir=self.trace_dir,
-            engine=engine,
-        )
-
-    @property
-    def trace_store(self):
-        """The session's shared :class:`repro.trace.TraceStore`."""
-        return self._suite.trace_store
-
-    # -- single runs ---------------------------------------------------------
-
-    def run(
-        self,
-        benchmark: str,
-        *,
-        coalescer: CoalescerConfig | None = None,
-        platform: PlatformConfig | None = None,
-    ) -> SimulationResult:
-        """Run (or fetch) one benchmark.
-
-        ``coalescer`` overrides the session platform's coalescer
-        config; ``platform`` replaces the whole platform for this run
-        (the job server's path -- tenants ship complete platform
-        documents).  The two are mutually exclusive.  Results are
-        cached by config digest, so repeated and structurally equal
-        calls are free.
-        """
-        if platform is not None:
-            if coalescer is not None:
-                raise ConfigError(
-                    "pass either coalescer= or platform=, not both "
-                    "(a full platform already carries its coalescer)"
-                )
-            return self._suite.run_platform(benchmark, platform)
-        cfg = coalescer if coalescer is not None else self.platform.coalescer
-        return self._suite.run(benchmark, cfg)
-
-    def baseline(self, benchmark: str) -> SimulationResult:
-        """The uncoalesced reference run of one benchmark."""
-        return self.run(benchmark, coalescer=UNCOALESCED_CONFIG)
-
-    def improvement(self, benchmark: str) -> float:
-        """Figure 15's runtime-improvement metric for one benchmark."""
-        return runtime_improvement(self.baseline(benchmark), self.run(benchmark))
-
-    # -- cache management ----------------------------------------------------
-
-    def adopt(
-        self, benchmark: str, result: SimulationResult, *, config_name: str = ""
-    ) -> None:
-        """Seed the result cache with an externally produced result.
-
-        The entry is keyed by the digest of ``result.platform`` exactly
-        as if :meth:`run` had produced it.  The job server uses this to
-        fold in results computed by worker processes and restored
-        checkpoints; ``config_name`` labels the entry in
-        :meth:`cache_keys` (defaults to a digest prefix).
-        """
-        self._suite.adopt(benchmark, config_name, result)
-
-    def peek(self, benchmark: str, digest: str) -> SimulationResult | None:
-        """The cached result for ``(benchmark, platform digest)``, or
-        ``None`` without running anything.
-
-        ``digest`` is a :meth:`PlatformConfig.content_digest` value (as
-        reported by :meth:`cache_keys`).  The job server's admission
-        path uses this to complete duplicate submissions instantly.
-        """
-        return self._suite.peek(benchmark, digest)
-
-    def cache_keys(self) -> tuple[CachedRun, ...]:
-        """Enumerate the digest-keyed result cache.
-
-        Each entry is a :class:`~repro.sim.experiments.CachedRun`
-        ``(benchmark, config, digest)``; ``digest`` is the platform
-        content digest the run is keyed by (pass it to
-        :meth:`invalidate`).
-        """
-        return self._suite.cache_keys()
-
-    def invalidate(
-        self, digest: str | None = None, *, benchmark: str | None = None
-    ) -> int:
-        """Drop cached results, returning the number of entries removed.
-
-        ``digest`` scopes to one platform digest, ``benchmark`` to one
-        benchmark, both ``None`` clears everything.  The job server's
-        result-retention sweep calls this to bound memory; a user can
-        call it after changing on-disk state a cached result depended
-        on.  Checkpoint files and stored traces are unaffected.
-        """
-        return self._suite.invalidate(digest, benchmark=benchmark)
-
-    # -- sweeps --------------------------------------------------------------
-
-    def sweep(
-        self,
-        spec: SweepSpec | None = None,
-        *,
-        benchmarks: tuple[str, ...] | None = None,
-        configs: (
-            Mapping[str, CoalescerConfig | PlatformConfig | str]
-            | Sequence[str]
-            | None
-        ) = None,
-        jobs: int | None = None,
-        out_dir: str | Path | None = None,
-        resume: bool = False,
-        timeout: float | None = None,
-        retries: int = 1,
-        filter: str | None = None,
-        progress: Progress | None = None,
-        executor: str | None = None,
-    ) -> SweepResult:
-        """Run a parameter sweep and fold it into the session cache.
-
-        Either pass a full :class:`SweepSpec`, or let the session
-        build one from ``benchmarks`` x ``configs`` (defaults: all 12
-        benchmarks x the paper's four figure configs) on its own
-        platform.  ``configs`` also accepts sweep config *tokens* --
-        a sequence like ``["combined", "combined@sorter_width=64"]``
-        (each token names itself) or a mapping whose values may be
-        token strings (see
-        :func:`repro.sim.sweep.parse_config_token`) -- so sorter
-        design-space grids need no hand-built
-        :class:`~repro.core.config.CoalescerConfig` objects.  See
-        :func:`repro.sim.sweep.run_sweep` for the execution knobs.
-        ``jobs`` above the machine's CPU count is clamped
-        (oversubscribed simulation workers only add scheduler thrash);
-        the clamp is logged and visible in the result's ``metadata``.
-        """
-        if spec is None:
-            if configs is None:
-                resolved: Mapping = dict(FIGURE_CONFIGS)
-            elif isinstance(configs, Mapping):
-                resolved = {
-                    name: (
-                        parse_config_token(value)[1]
-                        if isinstance(value, str)
-                        else value
-                    )
-                    for name, value in configs.items()
-                }
-            else:
-                resolved = parse_config_tokens(configs)
-            spec = SweepSpec(
-                platform=self.platform,
-                benchmarks=tuple(benchmarks) if benchmarks else (),
-                configs=resolved,
-            )
-        sweep = run_sweep(
-            spec,
-            jobs=clamp_jobs(self.jobs if jobs is None else jobs),
-            out_dir=out_dir or self.checkpoint_dir,
-            # The session's own checkpoint dir is a cache: always resume
-            # from it.  An explicit out_dir honours the resume flag.
-            resume=resume or (out_dir is None and self.checkpoint_dir is not None),
-            timeout=timeout,
-            retries=retries,
-            filter=filter,
-            progress=progress,
-            trace_dir=self.trace_dir,
-            executor=executor,
-        )
-        for key, result in sweep.results.items():
-            self._suite.adopt(key.benchmark, key.config, result)
-        return sweep
-
-    def prefetch(self, *, jobs: int | None = None) -> SweepResult:
-        """Pre-run the full figure grid across worker processes."""
-        return self._suite.prefetch(jobs=jobs)
-
-    # -- figures -------------------------------------------------------------
-
-    def figures(self, *, jobs: int | None = None) -> list[FigureData]:
-        """Reproduce every paper figure (Figures 1-2 and 8-15).
-
-        With ``jobs > 1`` the underlying simulation grid is prefetched
-        through the sweep engine first, so the figure runners become
-        pure cache lookups.
-        """
-        from repro.sim.experiments import (
-            fig1_bandwidth_efficiency,
-            fig2_control_overhead,
-            fig14_timeout_sweep,
-        )
-
-        jobs = self.jobs if jobs is None else jobs
-        if jobs > 1:
-            self._suite.prefetch(jobs=jobs)
-        suite = self._suite
-        fig14_platform = replace(
-            self.platform, accesses=max(3000, self.platform.accesses // 3)
-        )
-        return [
-            fig1_bandwidth_efficiency(),
-            fig2_control_overhead(),
-            suite.fig8_coalescing_efficiency(),
-            suite.fig9_bandwidth_efficiency(),
-            suite.fig10_request_distribution("HPCG"),
-            suite.fig11_bandwidth_saving(),
-            suite.fig12_dmc_latency(),
-            suite.fig13_crq_fill_time(),
-            suite.fig15_performance(),
-            fig14_timeout_sweep(
-                platform=fig14_platform, jobs=jobs, trace_dir=self.trace_dir
-            ),
-        ]

@@ -601,7 +601,7 @@ class JobScheduler:
             return 0
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         written = 0
-        for benchmark, config_name, result in self.session._suite.cached_runs():
+        for benchmark, config_name, result in self.session.cached_runs():
             digest = result.platform.content_digest()
             stem = RunKey(benchmark, config_name, digest).stem
             path = self.checkpoint_dir / (stem + CHECKPOINT_SUFFIX)

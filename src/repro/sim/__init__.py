@@ -6,8 +6,9 @@ derives the runtime model used for the paper's performance results.
 :mod:`repro.sim.sweep` shards grids of such runs across worker
 processes with per-run checkpointing (:mod:`repro.sim.shard` holds the
 worker side and the checkpoint format).  :mod:`repro.sim.experiments`
-provides one runner per evaluation figure (Figures 1-2 and 8-15),
-each returning plain data the benchmark harness renders.
+holds :class:`~repro.sim.experiments.Session`, the cached evaluation
+context, and one runner per evaluation figure (Figures 1-2 and 8-15),
+each returning plain data the CLI and benchmark harness render.
 """
 
 from repro.sim.driver import (
@@ -23,7 +24,6 @@ from repro.sim.sweep import (
     RunKey,
     SweepResult,
     SweepSpec,
-    config_digest,
     run_sweep,
 )
 
@@ -37,7 +37,6 @@ __all__ = [
     "SimulationResult",
     "SweepResult",
     "SweepSpec",
-    "config_digest",
     "replay_issued_requests",
     "run_benchmark",
     "run_sweep",

@@ -1,34 +1,46 @@
-"""Per-figure experiment runners (Figures 1-2 and 8-15).
+"""The evaluation session and the per-figure runners (Figures 1-2, 8-15).
 
-Each ``figN_*`` function reproduces one figure of the paper's
-evaluation and returns a :class:`FigureData` with the same series the
-paper plots plus derived summary statistics.  The heavyweight runners
-share an :class:`EvaluationSuite`, which caches end-to-end simulation
-results per (benchmark, coalescer-configuration) so a full evaluation
-pass runs each simulation exactly once.
+:class:`Session` is the reproduction's one evaluation context.  It owns
+a base platform and a results cache keyed by the *content digest* of
+the effective platform, so structurally equal configurations --
+however constructed -- run exactly once.  Its ``fig8_*``-``fig15_*``
+methods read the paper's trace-driven figures off that cache, so a
+full evaluation pass runs each simulation once; :meth:`Session.figures`
+returns every figure in the order ``repro figures`` prints them.
+
+Figures 1-2 are analytic and Figure 14 runs its own timeout sweep at a
+shorter trace length, so those three are module functions.  Every
+runner returns a :class:`FigureData` with the series the paper plots
+plus derived summary statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.analysis.efficiency import (
     bandwidth_efficiency_curve,
     control_overhead_sweep,
 )
-from repro.core.config import CoalescerConfig
+from repro.core.config import CoalescerConfig, UNCOALESCED_CONFIG
+from repro.errors import ConfigError
 from repro.hmc.packet import FLIT_BYTES
 from repro.sim.driver import (
     PlatformConfig,
     SimulationResult,
     run_benchmark,
+    runtime_improvement,
 )
 from repro.sim.sweep import (
     FIGURE_CONFIGS,
+    Progress,
     SweepResult,
     SweepSpec,
-    config_digest,
+    clamp_jobs,
+    parse_config_token,
+    parse_config_tokens,
     run_sweep,
 )
 from repro.trace import TraceStore, trace_key
@@ -39,7 +51,7 @@ BENCHMARK_ORDER = tuple(BENCHMARKS)
 
 
 class CachedRun(NamedTuple):
-    """One entry of an :class:`EvaluationSuite`/Session result cache."""
+    """One entry of a :class:`Session` result cache."""
 
     benchmark: str
     config: str  #: config name if known, else a digest prefix
@@ -57,118 +69,192 @@ class FigureData:
     summary: dict[str, float] = field(default_factory=dict)
 
 
-class EvaluationSuite:
-    """Shared, cached runner for the trace-driven figures (8-15).
+class Session:
+    """One configured evaluation context with a shared results cache.
 
-    The cache is keyed by the *content digest* of the full platform
-    configuration, so two structurally equal configs -- however they
-    were constructed or named -- share one cache (and checkpoint)
-    entry.  :meth:`prefetch` populates the cache through the parallel
-    sweep engine; with a ``checkpoint_dir`` the sweep's per-run files
-    double as a persistent cross-process cache.
+    The cache is keyed by ``(benchmark, platform content digest)``.
+    :meth:`run`, :meth:`sweep`, :meth:`prefetch` and the figure runners
+    all read and fill it, and with a ``checkpoint_dir`` the sweep
+    engine's per-run files are a persistent cross-process tier of it.
+
+    Parameters
+    ----------
+    platform:
+        Base platform; defaults to the paper's Section 5.2 machine.
+    accesses / seed:
+        Conveniences that override the corresponding platform fields
+        without constructing a :class:`PlatformConfig` by hand.
+    jobs:
+        Default worker-process count for :meth:`sweep`,
+        :meth:`figures` and :meth:`prefetch`.
+    checkpoint_dir:
+        Directory for the sweep engine's per-run checkpoint files.
+        When set, completed runs persist across Sessions and
+        interrupted sweeps resume automatically.
+    trace_dir:
+        Directory for the on-disk LLC trace store
+        (:class:`repro.trace.TraceStore`).  Sessions always share
+        captured traces in memory -- each benchmark's front end runs
+        once per (geometry, pacing) key and every coalescer config
+        replays it bit-identically; ``trace_dir`` additionally
+        persists captures across Sessions and ships them to sweep
+        worker processes.
+    engine:
+        Kernel execution engine for the session's in-process runs:
+        ``"object"`` (the reference interpreter) or ``"vector"``
+        (columnar NumPy fast paths).  ``None`` takes the library
+        default (:data:`repro.kernels.DEFAULT_ENGINE`).  Engine choice
+        never changes results -- the vector engine is bit-exact -- so
+        it is a Session knob, not a platform parameter.
     """
-
-    CONFIGS: dict[str, CoalescerConfig] = FIGURE_CONFIGS
 
     def __init__(
         self,
         platform: PlatformConfig | None = None,
-        benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
         *,
+        accesses: int | None = None,
+        seed: int | None = None,
         jobs: int = 1,
-        checkpoint_dir: str | None = None,
-        trace_dir: str | None = None,
+        checkpoint_dir: str | Path | None = None,
+        trace_dir: str | Path | None = None,
         engine: str | None = None,
     ):
-        self.platform = platform or PlatformConfig(accesses=24_000)
-        self.benchmarks = benchmarks
+        base = platform or PlatformConfig()
+        if accesses is not None:
+            base = replace(base, accesses=accesses)
+        if seed is not None:
+            base = replace(base, seed=seed)
+        self.platform = base
         self.jobs = jobs
-        self.checkpoint_dir = checkpoint_dir
-        self.trace_dir = trace_dir
-        #: Kernel engine for the suite's own runs (None = default).
-        #: Purely an execution choice: results and cache keys are
-        #: engine-invariant, so mixing engines across tiers is safe.
+        self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
+        self.trace_dir = str(trace_dir) if trace_dir else None
         self.engine = engine
-        #: Shared LLC-trace store: each benchmark's front end (workload
-        #: generation + cache filtering) runs once and all four figure
-        #: configs replay the capture.  ``trace_dir`` adds a disk tier,
-        #: read zero-copy (mmap) so concurrent suites and sweep workers
-        #: share page-cache pages instead of private decodes.
-        self.trace_store = TraceStore(trace_dir, mmap=trace_dir is not None)
+        #: The session's shared LLC-trace store.  ``trace_dir`` adds a
+        #: disk tier, read zero-copy (mmap) so concurrent sessions and
+        #: sweep workers share page-cache pages instead of private
+        #: decodes.
+        self.trace_store = TraceStore(
+            self.trace_dir, mmap=self.trace_dir is not None
+        )
         self._cache: dict[tuple[str, str], SimulationResult] = {}
         self._config_names: dict[str, str] = {}
 
-    def _platform_for(self, config: str | CoalescerConfig) -> PlatformConfig:
-        cfg = self.CONFIGS[config] if isinstance(config, str) else config
-        return self.platform.with_coalescer(cfg)
+    # -- single runs ---------------------------------------------------------
 
     def run(
-        self, benchmark: str, config: str | CoalescerConfig
+        self,
+        benchmark: str,
+        *,
+        coalescer: CoalescerConfig | None = None,
+        platform: PlatformConfig | None = None,
     ) -> SimulationResult:
-        """Run (or fetch) one benchmark under one coalescer config.
+        """Run (or fetch) one benchmark.
 
-        ``config`` is a name from :data:`CONFIGS` or any
-        :class:`CoalescerConfig`; structurally equal configs hit the
-        same cache entry either way.
+        ``coalescer`` overrides the session platform's coalescer
+        config; ``platform`` replaces the whole platform for this run
+        (the job server's path -- tenants ship complete platform
+        documents).  The two are mutually exclusive.  Results are
+        cached by config digest, so repeated and structurally equal
+        calls are free.
         """
-        platform = self._platform_for(config)
-        digest = config_digest(platform)
-        if isinstance(config, str):
-            self._config_names.setdefault(digest, config)
-        key = (benchmark, digest)
-        if key not in self._cache:
-            self._cache[key] = run_benchmark(
+        if platform is None:
+            platform = (
+                self.platform
+                if coalescer is None
+                else self.platform.with_coalescer(coalescer)
+            )
+        elif coalescer is not None:
+            raise ConfigError(
+                "pass either coalescer= or platform=, not both "
+                "(a full platform already carries its coalescer)"
+            )
+        key = (benchmark, platform.content_digest())
+        result = self._cache.get(key)
+        if result is None:
+            result = self._cache[key] = run_benchmark(
                 benchmark,
                 platform=platform,
                 trace_store=self.trace_store,
                 engine=self.engine,
             )
-        return self._cache[key]
+        return result
 
-    def run_platform(
-        self, benchmark: str, platform: PlatformConfig
-    ) -> SimulationResult:
-        """Run (or fetch) one benchmark on an arbitrary full platform.
+    def baseline(self, benchmark: str) -> SimulationResult:
+        """The uncoalesced reference run of one benchmark."""
+        return self.run(benchmark, coalescer=UNCOALESCED_CONFIG)
 
-        Same digest-keyed cache as :meth:`run`, but the caller supplies
-        the complete :class:`PlatformConfig` instead of a coalescer
-        override on the suite's base platform -- the job server's path,
-        where every tenant ships its own platform document.
+    def improvement(self, benchmark: str) -> float:
+        """Figure 15's runtime-improvement metric for one benchmark."""
+        return runtime_improvement(self.baseline(benchmark), self.run(benchmark))
+
+    def _cell(self, benchmark: str, config: str) -> SimulationResult:
+        """One figure-grid cell: ``config`` names a :data:`FIGURE_CONFIGS`
+        entry, which labels the cached run in :meth:`cache_keys`."""
+        platform = self.platform.with_coalescer(FIGURE_CONFIGS[config])
+        self._config_names.setdefault(platform.content_digest(), config)
+        return self.run(benchmark, platform=platform)
+
+    # -- cache management ----------------------------------------------------
+
+    def adopt(
+        self, benchmark: str, result: SimulationResult, *, config_name: str = ""
+    ) -> None:
+        """Seed the result cache with an externally produced result.
+
+        The entry is keyed by the digest of ``result.platform`` exactly
+        as if :meth:`run` had produced it.  The job server uses this to
+        fold in results computed by worker processes and restored
+        checkpoints; ``config_name`` labels the entry in
+        :meth:`cache_keys` (defaults to a digest prefix).
         """
-        digest = config_digest(platform)
-        key = (benchmark, digest)
-        if key not in self._cache:
-            self._cache[key] = run_benchmark(
-                benchmark,
-                platform=platform,
-                trace_store=self.trace_store,
-                engine=self.engine,
-            )
-        return self._cache[key]
+        digest = result.platform.content_digest()
+        if config_name:
+            self._config_names.setdefault(digest, config_name)
+        self._cache[(benchmark, digest)] = result
 
     def peek(self, benchmark: str, digest: str) -> SimulationResult | None:
         """The cached result for ``(benchmark, platform digest)``, or
-        ``None`` -- never runs anything (the job server's admission
-        check)."""
+        ``None`` without running anything.
+
+        ``digest`` is a :meth:`PlatformConfig.content_digest` value (as
+        reported by :meth:`cache_keys`).  The job server's admission
+        path uses this to complete duplicate submissions instantly.
+        """
         return self._cache.get((benchmark, digest))
 
     def cache_keys(self) -> tuple[CachedRun, ...]:
-        """Every cached run as ``(benchmark, config, digest)``, sorted."""
+        """Enumerate the digest-keyed result cache, sorted.
+
+        Each entry is a :class:`CachedRun` ``(benchmark, config,
+        digest)``; ``digest`` is the platform content digest the run is
+        keyed by (pass it to :meth:`invalidate`).
+        """
         return tuple(
-            CachedRun(benchmark, self._config_names.get(digest, digest[:10]), digest)
+            CachedRun(benchmark, self._label(digest), digest)
             for benchmark, digest in sorted(self._cache)
         )
+
+    def cached_runs(self):
+        """Yield ``(benchmark, config, result)`` for every cached run,
+        in :meth:`cache_keys` order (the job server checkpoints these
+        on shutdown)."""
+        for (benchmark, digest), result in sorted(self._cache.items()):
+            yield benchmark, self._label(digest), result
+
+    def _label(self, digest: str) -> str:
+        return self._config_names.get(digest, digest[:10])
 
     def invalidate(
         self, digest: str | None = None, *, benchmark: str | None = None
     ) -> int:
-        """Drop cached results and return how many entries were removed.
+        """Drop cached results, returning the number of entries removed.
 
-        ``digest`` scopes the sweep to one platform digest,
-        ``benchmark`` to one benchmark; both ``None`` clears the whole
-        cache.  Only the in-memory result cache is touched -- on-disk
-        sweep checkpoints and stored traces are separate tiers with
-        their own lifecycle (``resume`` / ``repro trace gc``).
+        ``digest`` scopes to one platform digest, ``benchmark`` to one
+        benchmark, both ``None`` clears everything.  The job server's
+        result-retention sweep calls this to bound memory; a user can
+        call it after changing on-disk state a cached result depended
+        on.  Checkpoint files and stored traces are separate tiers
+        with their own lifecycle (``resume`` / ``repro trace gc``).
         """
         doomed = [
             key
@@ -180,45 +266,116 @@ class EvaluationSuite:
             del self._cache[key]
         return len(doomed)
 
-    def adopt(self, benchmark: str, config_name: str, result: SimulationResult) -> None:
-        """Seed the cache with an externally produced result.
+    # -- sweeps --------------------------------------------------------------
 
-        An empty ``config_name`` leaves the entry unnamed (it shows as
-        a digest prefix in :meth:`cache_keys`).
+    def sweep(
+        self,
+        spec: SweepSpec | None = None,
+        *,
+        benchmarks: tuple[str, ...] | None = None,
+        configs: (
+            Mapping[str, CoalescerConfig | PlatformConfig | str]
+            | Sequence[str]
+            | None
+        ) = None,
+        jobs: int | None = None,
+        out_dir: str | Path | None = None,
+        resume: bool = False,
+        timeout: float | None = None,
+        retries: int = 1,
+        filter: str | None = None,
+        progress: Progress | None = None,
+        executor: str | None = None,
+    ) -> SweepResult:
+        """Run a parameter sweep and fold it into the session cache.
+
+        Either pass a full :class:`SweepSpec`, or let the session
+        build one from ``benchmarks`` x ``configs`` (defaults: all 12
+        benchmarks x the paper's four figure configs) on its own
+        platform.  ``configs`` also accepts sweep config *tokens* --
+        a sequence like ``["combined", "combined@sorter_width=64"]``
+        (each token names itself) or a mapping whose values may be
+        token strings (see
+        :func:`repro.sim.sweep.parse_config_token`) -- so sorter
+        design-space grids need no hand-built
+        :class:`~repro.core.config.CoalescerConfig` objects.  See
+        :func:`repro.sim.sweep.run_sweep` for the execution knobs.
+        ``jobs`` above the machine's CPU count is clamped
+        (oversubscribed simulation workers only add scheduler thrash);
+        the clamp is logged and visible in the result's ``metadata``.
         """
-        digest = config_digest(result.platform)
-        if config_name:
-            self._config_names.setdefault(digest, config_name)
-        self._cache[(benchmark, digest)] = result
-
-    def prefetch(self, *, jobs: int | None = None) -> SweepResult:
-        """Fill the whole figure grid through the sweep engine.
-
-        Runs ``benchmarks x CONFIGS`` across ``jobs`` worker processes
-        (default: the suite's ``jobs``), resuming from
-        ``checkpoint_dir`` when one is configured, and seeds the cache
-        so every figure runner afterwards is a pure lookup.
-        """
-        spec = SweepSpec(
-            platform=self.platform,
-            benchmarks=tuple(self.benchmarks),
-            configs=dict(self.CONFIGS),
-        )
+        if spec is None:
+            if configs is None:
+                resolved: Mapping = dict(FIGURE_CONFIGS)
+            elif isinstance(configs, Mapping):
+                resolved = {
+                    name: (
+                        parse_config_token(value)[1]
+                        if isinstance(value, str)
+                        else value
+                    )
+                    for name, value in configs.items()
+                }
+            else:
+                resolved = parse_config_tokens(configs)
+            spec = SweepSpec(
+                platform=self.platform,
+                benchmarks=tuple(benchmarks) if benchmarks else (),
+                configs=resolved,
+            )
         sweep = run_sweep(
             spec,
-            jobs=self.jobs if jobs is None else jobs,
-            out_dir=self.checkpoint_dir,
-            resume=self.checkpoint_dir is not None,
+            jobs=clamp_jobs(self.jobs if jobs is None else jobs),
+            out_dir=out_dir or self.checkpoint_dir,
+            # The session's own checkpoint dir is a cache: always resume
+            # from it.  An explicit out_dir honours the resume flag.
+            resume=resume or (out_dir is None and self.checkpoint_dir is not None),
+            timeout=timeout,
+            retries=retries,
+            filter=filter,
+            progress=progress,
             trace_dir=self.trace_dir,
+            executor=executor,
         )
         for key, result in sweep.results.items():
-            self.adopt(key.benchmark, key.config, result)
+            self.adopt(key.benchmark, result, config_name=key.config)
         return sweep
 
-    def cached_runs(self):
-        """Yield ``(benchmark, config_name, result)`` in sorted order."""
-        for (benchmark, digest), result in sorted(self._cache.items()):
-            yield benchmark, self._config_names.get(digest, digest[:10]), result
+    def prefetch(self, *, jobs: int | None = None) -> SweepResult:
+        """Pre-run the full figure grid across worker processes, so
+        every figure runner afterwards is a pure cache lookup."""
+        return self.sweep(jobs=jobs)
+
+    # -- figures -------------------------------------------------------------
+
+    def figures(self, *, jobs: int | None = None) -> list[FigureData]:
+        """Reproduce every paper figure (Figures 1-2 and 8-15).
+
+        With ``jobs > 1`` the underlying simulation grid is prefetched
+        through the sweep engine first, so the figure runners become
+        pure cache lookups.  Figure 14 sweeps its timeouts at a third
+        of the session's trace length (at least 3,000 accesses).
+        """
+        jobs = self.jobs if jobs is None else jobs
+        if jobs > 1:
+            self.prefetch(jobs=jobs)
+        fig14_platform = replace(
+            self.platform, accesses=max(3000, self.platform.accesses // 3)
+        )
+        return [
+            fig1_bandwidth_efficiency(),
+            fig2_control_overhead(),
+            self.fig8_coalescing_efficiency(),
+            self.fig9_bandwidth_efficiency(),
+            self.fig10_request_distribution("HPCG"),
+            self.fig11_bandwidth_saving(),
+            self.fig12_dmc_latency(),
+            self.fig13_crq_fill_time(),
+            self.fig15_performance(),
+            fig14_timeout_sweep(
+                platform=fig14_platform, jobs=jobs, trace_dir=self.trace_dir
+            ),
+        ]
 
     # -- Figure 8 -------------------------------------------------------------
 
@@ -226,9 +383,9 @@ class EvaluationSuite:
         """Coalescing efficiency per benchmark and phase combination."""
         rows = []
         sums = {"mshr_only": 0.0, "dmc_only": 0.0, "combined": 0.0}
-        for name in self.benchmarks:
+        for name in BENCHMARK_ORDER:
             vals = {
-                cfg: self.run(name, cfg).coalescing_efficiency
+                cfg: self._cell(name, cfg).coalescing_efficiency
                 for cfg in ("mshr_only", "dmc_only", "combined")
             }
             for cfg, v in vals.items():
@@ -236,7 +393,7 @@ class EvaluationSuite:
             rows.append(
                 [name, vals["mshr_only"], vals["dmc_only"], vals["combined"]]
             )
-        n = len(self.benchmarks)
+        n = len(BENCHMARK_ORDER)
         summary = {f"avg_{cfg}": total / n for cfg, total in sums.items()}
         summary["paper_avg_mshr_only"] = 0.3153
         summary["paper_avg_dmc_only"] = 0.3813
@@ -255,13 +412,13 @@ class EvaluationSuite:
         """Equation-1 bandwidth efficiency: raw vs coalesced requests."""
         rows = []
         raw_sum = coal_sum = 0.0
-        for name in self.benchmarks:
-            raw = self.run(name, "uncoalesced").bandwidth_efficiency
-            coal = self.run(name, "combined").bandwidth_efficiency
+        for name in BENCHMARK_ORDER:
+            raw = self._cell(name, "uncoalesced").bandwidth_efficiency
+            coal = self._cell(name, "combined").bandwidth_efficiency
             raw_sum += raw
             coal_sum += coal
             rows.append([name, raw, coal])
-        n = len(self.benchmarks)
+        n = len(BENCHMARK_ORDER)
         return FigureData(
             figure="Figure 9",
             description="Bandwidth efficiency of coalesced and raw requests",
@@ -284,7 +441,7 @@ class EvaluationSuite:
         coalescer_hist: dict[tuple[int, str], int] = {}
         # Reconstruct from issued packets: bucket each packet by the
         # FLIT-rounded actually-requested payload.
-        sim = self.run(benchmark, "combined")
+        sim = self._cell(benchmark, "combined")
         total = 0
         for rec in _issued_of(sim, trace_store=self.trace_store):
             req = max(
@@ -332,9 +489,9 @@ class EvaluationSuite:
         """
         rows = []
         total_saved = 0
-        for name in self.benchmarks:
-            base = self.run(name, "uncoalesced")
-            coal = self.run(name, "combined")
+        for name in BENCHMARK_ORDER:
+            base = self._cell(name, "uncoalesced")
+            coal = self._cell(name, "combined")
             saved_control = coal.control_bytes_saved_vs(base)
             saved_transfer = coal.transfer_bytes_saved_vs(base)
             total_saved += saved_transfer
@@ -351,7 +508,7 @@ class EvaluationSuite:
             headers=["benchmark", "control_saved_MB", "transfer_saved_MB"],
             rows=rows,
             summary={
-                "avg_transfer_saved_MB": total_saved / 1e6 / len(self.benchmarks),
+                "avg_transfer_saved_MB": total_saved / 1e6 / len(BENCHMARK_ORDER),
                 "paper_avg_saved_GB": 33.25,
             },
         )
@@ -362,8 +519,8 @@ class EvaluationSuite:
         """Average first-phase coalescing latency in the DMC unit."""
         rows = []
         total = 0.0
-        for name in self.benchmarks:
-            ns = self.run(name, "combined").coalescer.dmc_latency_ns
+        for name in BENCHMARK_ORDER:
+            ns = self._cell(name, "combined").coalescer.dmc_latency_ns
             total += ns
             rows.append([name, ns])
         return FigureData(
@@ -372,7 +529,7 @@ class EvaluationSuite:
             headers=["benchmark", "dmc_latency_ns"],
             rows=rows,
             summary={
-                "avg_ns": total / len(self.benchmarks),
+                "avg_ns": total / len(BENCHMARK_ORDER),
                 "paper_avg_ns": 7.1,
                 "paper_max_ns": 9.0,
             },
@@ -384,8 +541,8 @@ class EvaluationSuite:
         """Average time to fill the CRQ from empty to capacity."""
         rows = []
         total = 0.0
-        for name in self.benchmarks:
-            ns = self.run(name, "combined").coalescer.crq_fill_ns
+        for name in BENCHMARK_ORDER:
+            ns = self._cell(name, "combined").coalescer.crq_fill_ns
             total += ns
             rows.append([name, ns])
         return FigureData(
@@ -394,7 +551,7 @@ class EvaluationSuite:
             headers=["benchmark", "crq_fill_ns"],
             rows=rows,
             summary={
-                "avg_ns": total / len(self.benchmarks),
+                "avg_ns": total / len(BENCHMARK_ORDER),
                 "paper_avg_ns": 15.86,
                 "paper_max_ns": 34.76,
             },
@@ -406,9 +563,9 @@ class EvaluationSuite:
         """Runtime improvement of the coalescer over the baseline."""
         rows = []
         total = 0.0
-        for name in self.benchmarks:
-            base = self.run(name, "uncoalesced")
-            coal = self.run(name, "combined")
+        for name in BENCHMARK_ORDER:
+            base = self._cell(name, "uncoalesced")
+            coal = self._cell(name, "combined")
             imp = coal.runtime_improvement_over(base)
             total += imp
             rows.append([name, imp])
@@ -418,7 +575,7 @@ class EvaluationSuite:
             headers=["benchmark", "runtime_improvement"],
             rows=rows,
             summary={
-                "avg_improvement": total / len(self.benchmarks),
+                "avg_improvement": total / len(BENCHMARK_ORDER),
                 "paper_avg_improvement": 0.1314,
                 "paper_ft_improvement": 0.2543,
                 "paper_sparselu_improvement": 0.2221,

@@ -19,9 +19,10 @@ runs across worker processes, and folds the shards back together:
   order, independent of completion order -- into the sweep-level
   registry on :class:`SweepResult`.
 
-``python -m repro sweep`` is the CLI face of this module;
-:class:`repro.sim.experiments.EvaluationSuite` and
-:class:`repro.api.Session` sit on top of it.
+:class:`repro.Session` (defined in :mod:`repro.sim.experiments`) sits
+on top of it: :meth:`~repro.Session.sweep` builds a spec on the
+session's platform and folds the results into the session's cache.
+``python -m repro sweep`` and ``repro figures`` go through it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.sim.shard import (
 from repro.workloads import BENCHMARKS
 
 #: The named coalescer configurations of the paper's figure grid
-#: (Figures 8-15).  ``EvaluationSuite.CONFIGS`` aliases this mapping.
+#: (Figures 8-15).
 FIGURE_CONFIGS: dict[str, CoalescerConfig] = {
     "uncoalesced": UNCOALESCED_CONFIG,
     "mshr_only": MSHR_ONLY_CONFIG,
@@ -164,17 +165,6 @@ def clamp_jobs(jobs: int) -> int:
     return jobs
 
 
-def config_digest(platform: PlatformConfig) -> str:
-    """Stable content hash of a full platform configuration.
-
-    Two structurally equal configs digest identically no matter how
-    they were constructed, so cache and checkpoint keys based on the
-    digest dedupe equivalent runs.  (Alias for
-    :meth:`PlatformConfig.content_digest`, the canonical definition.)
-    """
-    return platform.content_digest()
-
-
 def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
@@ -258,7 +248,7 @@ class SweepSpec:
         for benchmark in self.benchmarks:
             for name in self.configs:
                 platform = self.platform_for(name)
-                key = RunKey(benchmark, name, config_digest(platform))
+                key = RunKey(benchmark, name, platform.content_digest())
                 if filter is not None and filter not in key.label:
                     continue
                 out.append((key, platform))

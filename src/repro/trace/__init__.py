@@ -25,11 +25,11 @@ Three layers:
 
 The driver (:func:`repro.sim.driver.run_benchmark`) accepts a
 ``trace_store`` and routes through here; ``run_baseline_and_coalesced``,
-:class:`repro.api.Session`, the sweep engine and
-:class:`repro.sim.experiments.EvaluationSuite` all share stores by
-default.  Replay is bit-exact: the same ``SimulationResult`` digest as
-a live run (enforced by ``scripts/check_perf_parity.py``, the
-differential tests and the perf-harness digest gate).
+:class:`repro.Session` (with its figure runners) and the sweep engine
+all share stores by default.  Replay is bit-exact: the same
+``SimulationResult`` digest as a live run (enforced by
+``scripts/check_perf_parity.py``, the differential tests and the
+perf-harness digest gate).
 """
 
 from repro.trace.buffer import (

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.report import format_bar_chart, format_table
+from repro.analysis.report import format_bar_chart, format_figure, format_table
+from repro.sim.experiments import FigureData
 
 
 class TestTableEdges:
@@ -40,3 +41,23 @@ class TestBarChartEdges:
     def test_custom_format(self):
         out = format_bar_chart(["x"], [3.14159], fmt="{:6.1f}")
         assert "3.1" in out
+
+
+class TestFigureLayout:
+    def test_title_table_and_summary(self):
+        data = FigureData(
+            "Figure 9",
+            "Bandwidth efficiency",
+            ["benchmark", "raw"],
+            [["SG", 0.07431], ["FT", 2]],
+            {"avg_raw": 0.5, "runs": 2},
+        )
+        assert format_figure(data) == (
+            "== Figure 9: Bandwidth efficiency ==\n"
+            "benchmark     raw\n"
+            "---------  ------\n"
+            "       SG  0.0743\n"
+            "       FT       2\n"
+            "  avg_raw: 0.5000\n"
+            "  runs: 2"
+        )

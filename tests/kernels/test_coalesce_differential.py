@@ -27,6 +27,9 @@ regimes the merge join has to get right:
   fence marker lands first/last in a CRQ batch and the probe-filter
   bookkeeping is easiest to get wrong.
 
+Each fixed config, the drawn sorter and the drawn coalescer is its own
+property of 20 streams, so a failing config shrinks alone.
+
 Fixed scripted traces reach each hand-off of the kernel's saturated
 back-pressure step to the general drain -- two entries due at once, a
 fence or a fresh packet at the CRQ head, a non-empty allocation log,
@@ -96,22 +99,28 @@ _TINY_MSHRS = replace(_COMBINED, num_mshrs=4, crq_depth=4)
 _TINY_MSHR_ONLY = replace(MSHR_ONLY_CONFIG, num_mshrs=4, crq_depth=4)
 
 
-def _bypass_on_and_off(*configs: CoalescerConfig) -> tuple:
-    """Each config with stage-select bypass enabled, then disabled."""
-    return tuple(
-        replace(c, stage_select_enabled=on)
-        for c in configs
-        for on in (True, False)
-    )
+def _bypass_on_and_off(**configs: CoalescerConfig) -> dict:
+    """Each config with stage-select bypass enabled, then disabled, by
+    test id."""
+    return {
+        f"{name}-{label}": replace(config, stage_select_enabled=on)
+        for name, config in configs.items()
+        for label, on in (("bypass", True), ("no-bypass", False))
+    }
 
 
 #: Configs each random stream runs on, with and without the DMC unit.
-_RANDOM_CONFIGS = (
-    _COMBINED,
-    *_bypass_on_and_off(UNCOALESCED_CONFIG, MSHR_ONLY_CONFIG),
-)
+_RANDOM_CONFIGS = {
+    "combined": _COMBINED,
+    **_bypass_on_and_off(
+        uncoalesced=UNCOALESCED_CONFIG, mshr_only=MSHR_ONLY_CONFIG
+    ),
+}
 #: Merge-while-full configs, multi-line and single-line packets.
-_FULL_CONFIGS = (_TINY_MSHRS, *_bypass_on_and_off(_TINY_MSHR_ONLY))
+_FULL_CONFIGS = {
+    "tiny_mshrs": _TINY_MSHRS,
+    **_bypass_on_and_off(tiny_mshr_only=_TINY_MSHR_ONLY),
+}
 
 
 def _sorter_config(width: int) -> st.SearchStrategy[CoalescerConfig]:
@@ -264,31 +273,44 @@ def _assert_engines_match(
     assert result_digest(vec) == result_digest(obj)
 
 
-@settings(
+#: Every property below draws 20 streams.  Each config is its own
+#: property, so a failing config shrinks alone instead of re-running
+#: every config of the example at each shrink step.
+_TWENTY_EXAMPLES = settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(
-    rows=_EVENT_ROWS,
-    sorter=_SORTER_CONFIGS,
-    drawn=_COALESCER_CONFIGS,
-    device=_HMC_ROUTES,
-)
-def test_random_flush_batches_match_object_engine(rows, sorter, drawn, device):
-    for coalescer in (*_RANDOM_CONFIGS, sorter, drawn):
-        _assert_engines_match(_to_accesses(rows), coalescer, device)
 
 
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+@pytest.mark.parametrize(
+    "coalescer", tuple(_RANDOM_CONFIGS.values()), ids=tuple(_RANDOM_CONFIGS)
 )
+@_TWENTY_EXAMPLES
 @given(rows=_EVENT_ROWS, device=_HMC_ROUTES)
-def test_merge_while_full_matches_object_engine(rows, device):
-    for coalescer in _FULL_CONFIGS:
-        _assert_engines_match(_to_accesses(rows), coalescer, device)
+def test_random_flush_batches_match_object_engine(coalescer, rows, device):
+    _assert_engines_match(_to_accesses(rows), coalescer, device)
+
+
+@_TWENTY_EXAMPLES
+@given(rows=_EVENT_ROWS, coalescer=_SORTER_CONFIGS, device=_HMC_ROUTES)
+def test_drawn_sorter_matches_object_engine(rows, coalescer, device):
+    _assert_engines_match(_to_accesses(rows), coalescer, device)
+
+
+@_TWENTY_EXAMPLES
+@given(rows=_EVENT_ROWS, coalescer=_COALESCER_CONFIGS, device=_HMC_ROUTES)
+def test_drawn_coalescer_matches_object_engine(rows, coalescer, device):
+    _assert_engines_match(_to_accesses(rows), coalescer, device)
+
+
+@pytest.mark.parametrize(
+    "coalescer", tuple(_FULL_CONFIGS.values()), ids=tuple(_FULL_CONFIGS)
+)
+@_TWENTY_EXAMPLES
+@given(rows=_EVENT_ROWS, device=_HMC_ROUTES)
+def test_merge_while_full_matches_object_engine(coalescer, rows, device):
+    _assert_engines_match(_to_accesses(rows), coalescer, device)
 
 
 @settings(

@@ -5,20 +5,18 @@ import pytest
 from repro.sim.driver import PlatformConfig
 from repro.sim.experiments import (
     BENCHMARK_ORDER,
-    EvaluationSuite,
+    Session,
     fig1_bandwidth_efficiency,
     fig2_control_overhead,
     fig14_timeout_sweep,
 )
-
-#: Tiny platform + benchmark subset so the experiment tests stay fast.
-FAST = PlatformConfig(accesses=4_000)
-SUBSET = ("STREAM", "SG", "FT")
+from repro.sim.sweep import FIGURE_CONFIGS
 
 
 @pytest.fixture(scope="module")
-def suite():
-    return EvaluationSuite(FAST, benchmarks=SUBSET)
+def session():
+    """One short-trace session shared by every figure runner below."""
+    return Session(accesses=4_000)
 
 
 class TestAnalyticFigures:
@@ -45,20 +43,24 @@ class TestAnalyticFigures:
 
 
 class TestSuiteCaching:
-    def test_run_is_cached(self, suite):
-        a = suite.run("STREAM", "combined")
-        b = suite.run("STREAM", "combined")
-        assert a is b
-
-    def test_unknown_config_raises(self, suite):
-        with pytest.raises(KeyError):
-            suite.run("STREAM", "bogus")
+    def test_run_is_cached(self):
+        """A figure cell runs once, is labelled by its config name, and
+        is the entry a structurally equal ``run`` reads."""
+        local = Session(accesses=1_500)
+        first = local.fig12_dmc_latency()
+        (entry,) = {k for k in local.cache_keys() if k.benchmark == "STREAM"}
+        assert entry.config == "combined"
+        assert len(local.cache_keys()) == len(BENCHMARK_ORDER)
+        assert local.fig12_dmc_latency() == first
+        assert len(local.cache_keys()) == len(BENCHMARK_ORDER)
+        cell = local.peek("STREAM", entry.digest)
+        assert cell is local.run("STREAM", coalescer=FIGURE_CONFIGS["combined"])
 
 
 class TestTraceFigures:
-    def test_fig8_structure_and_ordering(self, suite):
-        data = suite.fig8_coalescing_efficiency()
-        assert [r[0] for r in data.rows] == list(SUBSET)
+    def test_fig8_structure_and_ordering(self, session):
+        data = session.fig8_coalescing_efficiency()
+        assert [r[0] for r in data.rows] == list(BENCHMARK_ORDER)
         for row in data.rows:
             name, mshr, dmc, combined = row
             assert 0 <= mshr <= 1 and 0 <= dmc <= 1 and 0 <= combined <= 1
@@ -66,41 +68,40 @@ class TestTraceFigures:
             assert combined >= max(mshr, dmc) - 0.02, name
         assert data.summary["avg_combined"] >= data.summary["avg_dmc_only"] - 0.02
 
-    def test_fig9_coalesced_beats_raw(self, suite):
-        data = suite.fig9_bandwidth_efficiency()
+    def test_fig9_coalesced_beats_raw(self, session):
+        data = session.fig9_bandwidth_efficiency()
         assert data.summary["avg_coalesced"] > data.summary["avg_raw"]
         for name, raw, coal in data.rows:
             assert coal >= raw - 1e-9, name
 
-    def test_fig10_shares_sum_to_one(self, suite):
-        data = suite.fig10_request_distribution("STREAM")
+    def test_fig10_shares_sum_to_one(self, session):
+        data = session.fig10_request_distribution("STREAM")
         shares = [r[3] for r in data.rows]
         assert sum(shares) == pytest.approx(1.0)
         assert data.summary["total_requests"] > 0
 
-    def test_fig10_hpcg_dominated_by_16B(self):
-        local = EvaluationSuite(FAST, benchmarks=("HPCG",))
-        data = local.fig10_request_distribution("HPCG")
+    def test_fig10_hpcg_dominated_by_16B(self, session):
+        data = session.fig10_request_distribution("HPCG")
         assert data.summary["share_16B_loads"] > 0.25
 
-    def test_fig11_savings_positive_for_coalescable(self, suite):
-        data = suite.fig11_bandwidth_saving()
+    def test_fig11_savings_positive_for_coalescable(self, session):
+        data = session.fig11_bandwidth_saving()
         by_name = {r[0]: r[2] for r in data.rows}
         assert by_name["STREAM"] > 0
         assert by_name["FT"] > 0
 
-    def test_fig12_latency_range(self, suite):
-        data = suite.fig12_dmc_latency()
+    def test_fig12_latency_range(self, session):
+        data = session.fig12_dmc_latency()
         for name, ns in data.rows:
             assert 0 < ns < 30, name
 
-    def test_fig13_fill_hides_in_memory_latency(self, suite):
-        data = suite.fig13_crq_fill_time()
+    def test_fig13_fill_hides_in_memory_latency(self, session):
+        data = session.fig13_crq_fill_time()
         for name, ns in data.rows:
             assert 0 < ns < 100, name  # far below ~100 ns HMC access
 
-    def test_fig15_improvement_bounds(self, suite):
-        data = suite.fig15_performance()
+    def test_fig15_improvement_bounds(self, session):
+        data = session.fig15_performance()
         for name, imp in data.rows:
             assert -0.1 < imp < 0.6, name
         assert data.summary["avg_improvement"] > 0

@@ -18,7 +18,6 @@ from repro.sim.sweep import (
     FIGURE_CONFIGS,
     RunKey,
     SweepSpec,
-    config_digest,
     run_sweep,
 )
 
@@ -95,10 +94,10 @@ class TestSpec:
         assert [k.benchmark for k in keys] == ["SG", "SG"]
 
     def test_structurally_equal_configs_share_digest(self):
-        a = config_digest(SMALL.with_coalescer(CoalescerConfig()))
-        b = config_digest(SMALL.with_coalescer(CoalescerConfig()))
+        a = SMALL.with_coalescer(CoalescerConfig()).content_digest()
+        b = SMALL.with_coalescer(CoalescerConfig()).content_digest()
         assert a == b
-        c = config_digest(SMALL.with_coalescer(CoalescerConfig(timeout_cycles=8)))
+        c = SMALL.with_coalescer(CoalescerConfig(timeout_cycles=8)).content_digest()
         assert a != c
 
     def test_figure_grid_covers_all_benchmarks_and_configs(self):

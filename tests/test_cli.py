@@ -197,6 +197,40 @@ class TestSweepCommand:
         args = build_parser().parse_args(["figures"])
         assert args.jobs == (os.cpu_count() or 1)
 
+    def test_figures_json_archives_session_figures(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.analysis.export import figure_to_dict, load_figures
+        from repro.analysis.report import format_figure
+        from repro.api import FigureData, Session
+
+        figures = [
+            FigureData("Figure A", "analytic", ["bytes", "eff"], [[16, 0.25]]),
+            FigureData(
+                "Figure B",
+                "per benchmark",
+                ["benchmark", "ns"],
+                [["STREAM", 7.5]],
+                {"avg_ns": 7.5},
+            ),
+        ]
+        sessions = []
+
+        def figures_of(session, *, jobs=None):
+            sessions.append(
+                (session.platform.accesses, session.jobs, session.trace_dir)
+            )
+            return figures
+
+        monkeypatch.setattr(Session, "figures", figures_of)
+        out = tmp_path / "figs.json"
+        argv = ["figures", "--accesses", "900", "--jobs", "3", "--json", str(out)]
+        assert main(argv) == 0
+        assert sessions == [(900, 3, None)]
+        assert load_figures(out) == [figure_to_dict(f) for f in figures]
+        blocks = "".join(f"\n{format_figure(f)}\n" for f in figures)
+        assert capsys.readouterr().out == f"{blocks}\nwrote {out}\n"
+
 
 class TestTraceStoreCommands:
     """The ``repro trace ls/info/gc`` store-maintenance verbs."""
